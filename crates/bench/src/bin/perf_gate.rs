@@ -14,14 +14,17 @@
 //! factor is deliberate: CI machines are noisy, shared, and
 //! heterogeneous, so a tight gate would flap — the gate exists to catch
 //! *algorithmic* regressions (an accidental O(N²) rescan, a lost pruning
-//! layer), which show up as integer multiples, not percentages. Sizes
-//! present in only one file are reported and skipped, never failed:
-//! adding a new `--scale` must not break the gate before a baseline
-//! exists. Comparing a sweep file against a serve file is a hard error —
+//! layer), which show up as integer multiples, not percentages. Every
+//! fresh size must have a baseline entry: a re-timed size the baseline
+//! lacks is a hard error, because a gate that compares nothing must not
+//! pass (commit a baseline for a new `--scale` together with the CI step
+//! that re-times it). Baseline sizes the fresh run did not re-time are
+//! fine. Comparing a sweep file against a serve file is a hard error —
 //! the timings measure different work.
 //!
 //! Exit codes: 0 within tolerance, 1 regression, 2 usage error, 3 file
-//! unreadable, unparseable, or the two files are different kinds.
+//! unreadable, unparseable, the two files are different kinds, or a
+//! fresh size has no baseline entry.
 //!
 //! The parser is a deliberately tiny hand scan over the keys it needs
 //! (`"satellites"`, then the next `"engine_clean"` or `"requests"` +
@@ -39,13 +42,14 @@ Compares wall times per size between two bench baseline files of the
 same kind (BENCH_sweep.json: engine_clean per constellation size;
 BENCH_serve.json: serve time per satellites x requests cell); exits 1
 when the fresh run regresses by more than the tolerance factor
-(default 2.0) at any size.
+(default 2.0) at any size, and 3 when a fresh size has no baseline.
 
 exit codes:
-  0  every common size is within tolerance
+  0  every fresh size is within tolerance
   1  at least one size regressed
   2  usage error
-  3  a file could not be read or parsed, or the kinds differ
+  3  a file could not be read or parsed, the kinds differ, or a fresh
+     size has no baseline entry
 ";
 
 struct Args {
@@ -155,7 +159,7 @@ fn parse_sweep(text: &str) -> Result<Vec<Entry>, String> {
 }
 
 /// Pair every `"satellites": N` with the following `"requests": M` and
-/// `"serve": X` — the shape `reproduce serve` writes to
+/// `"serve": X` — the shape `reproduce bench` writes to
 /// `BENCH_serve.json` (one entry per file today, but the scan is a loop
 /// so a future multi-cell baseline keeps working).
 fn parse_serve(text: &str) -> Result<Vec<Entry>, String> {
@@ -219,20 +223,15 @@ fn main() -> ExitCode {
     }
 
     let mut regressed = false;
-    let mut compared = 0;
+    let mut missing = Vec::new();
     for f in &fresh {
         let Some(b) = baseline
             .iter()
             .find(|b| b.satellites == f.satellites && b.requests == f.requests)
         else {
-            println!(
-                "{}: no baseline entry, skipped (fresh {:.1} ms)",
-                f.label(),
-                f.wall_ms
-            );
+            missing.push(f.label());
             continue;
         };
-        compared += 1;
         let limit = b.wall_ms * args.tolerance;
         let ratio = if b.wall_ms > 0.0 {
             f.wall_ms / b.wall_ms
@@ -253,15 +252,20 @@ fn main() -> ExitCode {
             args.tolerance
         );
     }
-    if compared == 0 {
-        eprintln!("error: the two files share no constellation size");
+    if !missing.is_empty() {
+        for label in &missing {
+            eprintln!(
+                "error: {}: re-timed, but the baseline has no entry for it",
+                label.trim_start()
+            );
+        }
         return ExitCode::from(3);
     }
     if regressed {
         eprintln!("perf gate: FAILED (>{}x regression)", args.tolerance);
         ExitCode::from(1)
     } else {
-        println!("perf gate: ok ({compared} size(s) compared)");
+        println!("perf gate: ok ({} size(s) compared)", fresh.len());
         ExitCode::SUCCESS
     }
 }

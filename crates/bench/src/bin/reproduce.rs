@@ -20,8 +20,9 @@
 //!   serve     batch entanglement-request service: seeded workload ->
 //!             validated ingest -> amortized serve over the daily sweep,
 //!             under the same resilient runtime contract
-//!   bench     time the daily sweep (engine, naive, faulted) and write
-//!             BENCH_sweep.json as a perf baseline
+//!   bench     time the daily sweep (engine, naive, faulted) and the
+//!             day's serve; write BENCH_sweep.json and BENCH_serve.json
+//!             as perf baselines
 //!   export    write CSV/DOT artifacts for every figure into ./out/
 //!   all       everything above except sweep, bench and export (default)
 //!
@@ -64,7 +65,7 @@ use qntn_orbit::ephemeris::{PAPER_DURATION_S, PAPER_STEP_S};
 use qntn_orbit::walker::paper_slots;
 use qntn_orbit::{scaled_shell, Ephemeris, PerturbationModel, Propagator};
 use qntn_routing::RouteMetric;
-use qntn_serve::{generate, ingest, report_from_run, serve_resilient, WorkloadKind};
+use qntn_serve::{generate, ingest, report_from_run, serve_report, serve_resilient, WorkloadKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -100,9 +101,10 @@ artifacts:
   serve       batch entanglement-request service: generate a seeded
               workload, ingest it through the validated request boundary,
               serve it over the daily sweep under the resilient runtime;
-              writes the SLO report and BENCH_serve.json atomically
+              writes the SLO report atomically
   bench       wall-time the 108-satellite daily sweep three ways (engine,
-              naive, engine+faults) and write BENCH_sweep.json
+              naive, engine+faults) and the day's 1M-request serve; write
+              BENCH_sweep.json and BENCH_serve.json
   export      write CSV/DOT artifacts for every figure into ./out/
   all         everything except sweep, bench and export (default)
 
@@ -424,7 +426,7 @@ fn run(cli: &Cli) -> Result<Exit, QntnError> {
         return serve(&scenario, config, cli);
     }
     if artifact == "bench" {
-        bench_sweep(&scenario, config, quick, parallel, &cli.scales)?;
+        bench(&scenario, config, quick, parallel, &cli.scales)?;
     }
     if artifact == "export" {
         export(&scenario, config, quick, parallel)?;
@@ -602,11 +604,9 @@ fn ensure_parent_dir(path: &Path) -> Result<(), QntnError> {
 /// round — under the same resilient runtime contract as `sweep`:
 /// checkpointed per chunk of arrival groups, cooperatively cancellable,
 /// panic-isolated, with every artifact byte written atomically. The run
-/// ends with the SLO report JSON and a `BENCH_serve.json` wall-time
-/// baseline.
+/// ends with the SLO report JSON; the serve wall-time baseline is the
+/// `bench` artifact's job.
 fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnError> {
-    use std::time::Instant;
-
     let o = &cli.sweep;
     let s = &cli.serve;
     let n_sats = o.sats.unwrap_or(if cli.quick { 12 } else { 108 });
@@ -634,7 +634,6 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         control
     };
 
-    let t = Instant::now();
     let setup = with_deadline(RunControl::unlimited().with_cancel(sigint.clone()));
     let engine = match SweepEngine::try_new(sim, &setup) {
         Ok(engine) => engine.with_parallel(cli.parallel),
@@ -643,13 +642,10 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
             return Ok(Exit::Interrupted);
         }
     };
-    let setup_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let t = Instant::now();
     let stream = generate(sim, kind, n_requests, s.seed);
     let (queue, rejected) = ingest(sim.hosts().len(), sim.steps(), &stream);
     drop(stream);
-    let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
     println!(
         "ingest: {} accepted, {} rejected, {} arrival groups",
         queue.len(),
@@ -689,9 +685,7 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         policy.deadline_steps as u64,
     ]);
 
-    let t = Instant::now();
     let run = serve_resilient(&engine, &queue, policy, metric, fingerprint, &run_policy)?;
-    let serve_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let total = run.outputs.len();
     if run.resumed_from > 0 {
@@ -755,17 +749,6 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
     atomic_write(&out, report.to_json().as_bytes())?;
     println!("wrote {}", out.display());
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"serve_day\",\n  \"satellites\": {n_sats},\n  \"steps\": {},\n  \"requests\": {n_requests},\n  \"workload\": \"{}\",\n  \"seed\": {},\n  \"parallel\": {},\n  \"served_percent\": {:.4},\n  \"wall_ms\": {{\n    \"engine_setup\": {setup_ms:.1},\n    \"generate_ingest\": {ingest_ms:.1},\n    \"serve\": {serve_ms:.1}\n  }}\n}}\n",
-        sim.steps(),
-        kind.name(),
-        s.seed,
-        cli.parallel,
-        report.served_percent()
-    );
-    atomic_write(Path::new("BENCH_serve.json"), json.as_bytes())?;
-    println!("wrote BENCH_serve.json");
-
     if let Some(path) = &o.checkpoint {
         if path.exists() {
             let _ = std::fs::remove_file(path);
@@ -783,6 +766,12 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
 /// naive flag vectors are asserted equal before anything is written
 /// (timing a wrong answer would be worthless).
 ///
+/// It then times the day's serve on the same constellation — 1M seeded
+/// uniform requests (5000 with `--quick`) through `serve_report` — and
+/// records it in `BENCH_serve.json`, the file `perf_gate` keys on
+/// satellites × requests. Only this artifact writes the `BENCH_*.json`
+/// files, so smoke runs of `serve` never clobber the committed baseline.
+///
 /// Each `--scale N` additionally times an engine-only sweep of an
 /// N-satellite Walker shell (the mega-constellation path: spatial window
 /// pruning, incremental topology, batched η). ISLs are disabled there —
@@ -792,7 +781,7 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
 /// engine vs naive is pinned by `tests/pipeline_goldens.rs` instead).
 /// The per-scale timings land in the `"scales"` array of the JSON, which
 /// `perf_gate` compares run-over-run in CI.
-fn bench_sweep(
+fn bench(
     scenario: &Qntn,
     config: SimConfig,
     quick: bool,
@@ -884,6 +873,39 @@ fn bench_sweep(
     );
     atomic_write(Path::new("BENCH_sweep.json"), json.as_bytes())?;
     println!("wrote BENCH_sweep.json");
+
+    let (kind, seed) = (WorkloadKind::Uniform, 2024);
+    let n_requests = if quick { 5_000 } else { 1_000_000 };
+    let t = Instant::now();
+    let engine = SweepEngine::new(sim).with_parallel(parallel);
+    let setup_ms = t.elapsed().as_secs_f64() * 1e3;
+    let t = Instant::now();
+    let stream = generate(sim, kind, n_requests, seed);
+    let (queue, rejected) = ingest(sim.hosts().len(), sim.steps(), &stream);
+    drop(stream);
+    let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
+    let t = Instant::now();
+    let report = serve_report(
+        &engine,
+        &queue,
+        RetryPolicy::standard(),
+        RouteMetric::PaperInverseEta,
+        rejected.len() as u64,
+    );
+    let serve_ms = t.elapsed().as_secs_f64() * 1e3;
+    println!(
+        "serve {n_requests} {} requests {serve_ms:>10.1} ms ({setup_ms:.1} ms setup, {ingest_ms:.1} ms generate+ingest, {:.2}% served)",
+        kind.name(),
+        report.served_percent()
+    );
+    let json = format!(
+        "{{\n  \"benchmark\": \"serve_day\",\n  \"satellites\": {n_sats},\n  \"steps\": {},\n  \"requests\": {n_requests},\n  \"workload\": \"{}\",\n  \"seed\": {seed},\n  \"parallel\": {parallel},\n  \"served_percent\": {:.4},\n  \"wall_ms\": {{\n    \"engine_setup\": {setup_ms:.1},\n    \"generate_ingest\": {ingest_ms:.1},\n    \"serve\": {serve_ms:.1}\n  }}\n}}\n",
+        sim.steps(),
+        kind.name(),
+        report.served_percent()
+    );
+    atomic_write(Path::new("BENCH_serve.json"), json.as_bytes())?;
+    println!("wrote BENCH_serve.json");
     Ok(())
 }
 

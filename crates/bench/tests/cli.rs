@@ -8,9 +8,10 @@
 //! outputs.
 //!
 //! Also covered: the `bench --scale` contract (flag validation, the
-//! per-scale entries of `BENCH_sweep.json`) and the `perf_gate` binary's
-//! exit-code contract (0 within tolerance, 1 regression, 2 usage, 3
-//! unreadable input).
+//! per-scale entries of `BENCH_sweep.json`, the serve cell of
+//! `BENCH_serve.json`) and the `perf_gate` binary's exit-code contract
+//! (0 within tolerance, 1 regression, 2 usage, 3 unreadable input or a
+//! fresh size without a baseline).
 //!
 //! Cargo builds the binaries and exposes their paths via
 //! `CARGO_BIN_EXE_reproduce` / `CARGO_BIN_EXE_perf_gate`, so these run on
@@ -27,8 +28,9 @@ fn reproduce(args: &[&str]) -> Output {
         .expect("failed to spawn reproduce")
 }
 
-/// Run with `dir` as the working directory (the `serve` artifact writes
-/// `BENCH_serve.json` relative to it; tests keep that out of the repo).
+/// Run with `dir` as the working directory (the `bench` artifact writes
+/// its `BENCH_*.json` files relative to it; tests keep those out of the
+/// repo).
 fn reproduce_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .current_dir(dir)
@@ -191,11 +193,12 @@ fn help_documents_the_resilience_surface() {
 }
 
 /// The `serve` artifact end to end through the process boundary: a small
-/// run exits 0, prints the SLO summary, and leaves both artifacts —
-/// the SLO JSON at `--out` and `BENCH_serve.json` in the working
-/// directory — with the accounting fields present.
+/// run exits 0, prints the SLO summary and leaves the SLO JSON at
+/// `--out` with the accounting fields present — and does *not* write
+/// `BENCH_serve.json`: only `bench` writes the perf baselines, so a smoke
+/// run can never clobber the committed one.
 #[test]
-fn serve_writes_slo_and_bench_artifacts() {
+fn serve_writes_the_slo_artifact_and_no_bench_file() {
     let dir = temp_path("serve_cwd", "d");
     std::fs::create_dir_all(&dir).unwrap();
     let slo = temp_path("serve_slo", "json");
@@ -225,14 +228,10 @@ fn serve_writes_slo_and_bench_artifacts() {
     let slo_body = std::fs::read_to_string(&slo).unwrap();
     assert!(slo_body.contains("\"attempted\": 400"), "{slo_body}");
     assert!(slo_body.contains("\"classes\""), "{slo_body}");
-    let bench = dir.join("BENCH_serve.json");
-    let bench_body = std::fs::read_to_string(&bench).unwrap();
     assert!(
-        bench_body.contains("\"benchmark\": \"serve_day\""),
-        "{bench_body}"
+        !dir.join("BENCH_serve.json").exists(),
+        "serve must leave the perf baseline to `bench`"
     );
-    assert!(bench_body.contains("\"requests\": 400"), "{bench_body}");
-    assert!(bench_body.contains("\"wall_ms\""), "{bench_body}");
     std::fs::remove_file(&slo).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -421,9 +420,11 @@ fn bench_rejects_a_garbage_scale_with_exit_2() {
     assert!(stderr.contains("`mega`"), "{stderr}");
 }
 
-/// `bench --scale` end to end: the run succeeds and BENCH_sweep.json
+/// `bench --scale` end to end: the run succeeds, BENCH_sweep.json
 /// carries both the default ladder entry and a per-scale entry with the
-/// schema `perf_gate` consumes (`satellites` before `engine_clean`).
+/// schema `perf_gate` consumes (`satellites` before `engine_clean`), and
+/// BENCH_serve.json carries the serve cell (`satellites`, `requests`,
+/// then `serve`).
 #[test]
 fn bench_scale_writes_per_scale_entries() {
     let dir = temp_path("bench_scale_cwd", "d");
@@ -438,7 +439,19 @@ fn bench_scale_writes_per_scale_entries() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("scale    16"), "{stdout}");
     let body = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
+    let serve_body = std::fs::read_to_string(dir.join("BENCH_serve.json")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
+    for needle in [
+        "\"benchmark\": \"serve_day\"",
+        "\"satellites\": 12",
+        "\"requests\": 5000",
+        "\"serve\":",
+    ] {
+        assert!(
+            serve_body.contains(needle),
+            "missing `{needle}` in: {serve_body}"
+        );
+    }
     for needle in [
         "\"benchmark\": \"sweep_day\"",
         "\"satellites\": 12",
@@ -584,6 +597,37 @@ fn perf_gate_gates_serve_baselines_and_rejects_kind_mixes() {
     std::fs::remove_file(&within).ok();
     std::fs::remove_file(&beyond).ok();
     std::fs::remove_file(&sweep).ok();
+}
+
+/// A fresh size the baseline lacks fails the gate (exit 3) instead of
+/// being skipped: a gate that compares nothing must not pass.
+#[test]
+fn perf_gate_fails_on_a_fresh_size_without_baseline() {
+    let baseline = temp_path("gate_only_108", "json");
+    // qntn-lint: allow(atomic-writes-only) -- throwaway test fixture, not a build artifact
+    std::fs::write(
+        &baseline,
+        "{\n  \"benchmark\": \"sweep_day\",\n  \"satellites\": 108,\n  \"wall_ms\": {\n    \"engine_clean\": 1000.0\n  },\n  \"scales\": []\n}\n",
+    )
+    .unwrap();
+    let fresh = bench_fixture("gate_with_1080", 1000.0, 3000.0);
+    let out = perf_gate(&[
+        "--baseline",
+        baseline.to_str().unwrap(),
+        "--fresh",
+        fresh.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(&baseline).ok();
+    std::fs::remove_file(&fresh).ok();
+    assert_eq!(out.status.code(), Some(3));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("108 sats"),
+        "common size still compared: {stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("1080 sats"), "{stderr}");
+    assert!(stderr.contains("no entry"), "{stderr}");
 }
 
 #[test]

@@ -14,10 +14,10 @@
 //!
 //! The rule scans the per-step pipeline, the sweep engine, the resilient
 //! runtime, the fault compiler, the link evaluator and the experiment
-//! drivers. Analysis-side modules (event censuses, snapshots) may keep
-//! hash maps; wall-clock use stays legal in `qntn_common::control`
-//! (deadlines are *about* wall time) and in the bench harness (measuring
-//! wall time is its job) — none of which are in scope.
+//! drivers. Analysis-side modules (snapshots) may keep hash maps;
+//! wall-clock use stays legal in `qntn_common::control` (deadlines are
+//! *about* wall time) and in the bench harness (measuring wall time is
+//! its job) — none of which are in scope.
 
 use crate::diag::Diagnostic;
 use crate::engine::FileCtx;
@@ -69,4 +69,23 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     }
     out.retain(|d| !ctx.is_test_line(d.line));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::HOT_PATHS;
+    use std::path::Path;
+
+    /// `in_scope` matches entries exactly, so an entry naming a deleted or
+    /// renamed file would silently drop that file out of the rule.
+    #[test]
+    fn every_hot_path_names_an_existing_workspace_file() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let stale: Vec<&str> = HOT_PATHS
+            .iter()
+            .copied()
+            .filter(|rel| !root.join(rel).is_file())
+            .collect();
+        assert!(stale.is_empty(), "stale HOT_PATHS entries: {stale:?}");
+    }
 }

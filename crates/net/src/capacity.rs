@@ -3,16 +3,12 @@
 //! The paper assumes "each node can serve all entanglement requests while
 //! in range … without limitations". Physically, a link generates Bell pairs
 //! at a finite rate: an attempt rate R (source repetition rate) times the
-//! survival probability η. This module serves a request batch against
-//! per-link pair budgets, exposing the congestion the ideal model hides —
-//! most visibly at the HAP, whose star topology funnels *every* inter-city
-//! request through two of its links.
+//! survival probability η. This module defines that per-link pair budget;
+//! `qntn_serve::serve_overload` serves traffic against it, exposing the
+//! congestion the ideal model hides — most visibly at the HAP, whose star
+//! topology funnels *every* inter-city request through two of its links.
 
-use crate::entanglement::{distribute, Distribution};
-use crate::requests::Request;
-use qntn_routing::{Graph, RouteMetric};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The pair-generation model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -30,125 +26,9 @@ impl CapacityModel {
     }
 }
 
-/// Why a request was not served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BlockReason {
-    /// No path above threshold existed at all.
-    NoRoute,
-    /// A path existed, but a link on it had an exhausted pair budget.
-    Congestion,
-    /// `src == dst` — a zero-hop request consumes no link budget and used
-    /// to be served vacuously; it is flagged instead of silently inflating
-    /// the served count.
-    Degenerate,
-}
-
-/// Outcome of serving a batch under capacity constraints.
-#[derive(Debug, Clone)]
-pub struct CapacityOutcome {
-    /// Served distributions, in request order (None when blocked).
-    pub served: Vec<Option<Distribution>>,
-    /// Block reason per request, in request order (`None` when served) —
-    /// a positional `Vec`, not a map, so iteration order is the request
-    /// order and artifacts derived from it are deterministic.
-    pub blocked: Vec<Option<BlockReason>>,
-}
-
-impl CapacityOutcome {
-    /// Number served.
-    pub fn served_count(&self) -> usize {
-        self.served.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Number blocked for any reason.
-    pub fn blocked_total(&self) -> usize {
-        self.blocked.iter().filter(|b| b.is_some()).count()
-    }
-
-    /// Number blocked for a given reason.
-    pub fn blocked_count(&self, reason: BlockReason) -> usize {
-        self.blocked.iter().filter(|&&b| b == Some(reason)).count()
-    }
-}
-
-/// Serve `requests` in arrival order against `graph`, consuming one pair of
-/// budget per link per served request. Routing ignores congestion (the
-/// paper's Bellman–Ford has no load term); a routed request whose path hits
-/// an exhausted link is blocked, matching a reservation-style control plane.
-pub fn serve_with_capacity(
-    graph: &Graph,
-    requests: &[Request],
-    metric: RouteMetric,
-    model: CapacityModel,
-) -> CapacityOutcome {
-    // Initial budgets per undirected edge.
-    let mut budget: HashMap<(usize, usize), f64> = graph
-        .edges()
-        .map(|(u, v, eta)| ((u.min(v), u.max(v)), model.link_budget(eta)))
-        .collect();
-
-    let mut served = Vec::with_capacity(requests.len());
-    let mut blocked: Vec<Option<BlockReason>> = Vec::with_capacity(requests.len());
-    for r in requests {
-        if r.src == r.dst {
-            // Zero-hop: the empty key list below would pass the budget
-            // check vacuously and count as served for free.
-            blocked.push(Some(BlockReason::Degenerate));
-            served.push(None);
-            continue;
-        }
-        match distribute(graph, r.src, r.dst, metric) {
-            None => {
-                blocked.push(Some(BlockReason::NoRoute));
-                served.push(None);
-            }
-            Some(d) => {
-                let keys: Vec<(usize, usize)> = d
-                    .path
-                    .windows(2)
-                    .map(|w| (w[0].min(w[1]), w[0].max(w[1])))
-                    .collect();
-                let ok = keys
-                    .iter()
-                    .all(|k| budget.get(k).copied().unwrap_or(0.0) >= 1.0);
-                if ok {
-                    for k in &keys {
-                        if let Some(b) = budget.get_mut(k) {
-                            *b -= 1.0;
-                        }
-                    }
-                    served.push(Some(d));
-                    blocked.push(None);
-                } else {
-                    blocked.push(Some(BlockReason::Congestion));
-                    served.push(None);
-                }
-            }
-        }
-    }
-    CapacityOutcome { served, blocked }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qntn_routing::Graph;
-
-    /// A star: hub 0 linked to leaves 1..=4 (the HAP shape in miniature).
-    fn star(eta: f64) -> Graph {
-        let mut g = Graph::with_nodes(5);
-        for leaf in 1..5 {
-            g.set_edge(0, leaf, eta);
-        }
-        g
-    }
-
-    fn reqs(pairs: &[(usize, usize)]) -> Vec<Request> {
-        pairs
-            .iter()
-            .map(|&(src, dst)| Request { src, dst })
-            .collect()
-    }
 
     #[test]
     fn budget_formula() {
@@ -158,137 +38,5 @@ mod tests {
         };
         assert!((m.link_budget(0.5) - 150.0).abs() < 1e-12);
         assert_eq!(m.link_budget(0.0), 0.0);
-    }
-
-    #[test]
-    fn ample_capacity_serves_everything() {
-        let g = star(0.9);
-        let m = CapacityModel {
-            attempt_rate_hz: 1000.0,
-            window_s: 30.0,
-        };
-        let out = serve_with_capacity(
-            &g,
-            &reqs(&[(1, 2), (3, 4), (1, 4)]),
-            RouteMetric::PaperInverseEta,
-            m,
-        );
-        assert_eq!(out.served_count(), 3);
-        assert_eq!(out.blocked_total(), 0);
-        assert_eq!(out.blocked, vec![None, None, None]);
-    }
-
-    #[test]
-    fn degenerate_requests_are_flagged_not_served_for_free() {
-        // Regression: src == dst produced an empty key list, which passed
-        // the budget check vacuously and was counted as served.
-        let g = star(0.9);
-        let m = CapacityModel {
-            attempt_rate_hz: 1000.0,
-            window_s: 30.0,
-        };
-        let out = serve_with_capacity(
-            &g,
-            &reqs(&[(2, 2), (1, 2), (0, 0)]),
-            RouteMetric::PaperInverseEta,
-            m,
-        );
-        assert_eq!(out.served_count(), 1);
-        assert_eq!(out.blocked_count(BlockReason::Degenerate), 2);
-        assert_eq!(
-            out.blocked,
-            vec![
-                Some(BlockReason::Degenerate),
-                None,
-                Some(BlockReason::Degenerate)
-            ]
-        );
-    }
-
-    #[test]
-    fn zero_capacity_blocks_everything_with_reason() {
-        let g = star(0.9);
-        let m = CapacityModel {
-            attempt_rate_hz: 0.0,
-            window_s: 30.0,
-        };
-        let out = serve_with_capacity(
-            &g,
-            &reqs(&[(1, 2), (3, 4)]),
-            RouteMetric::PaperInverseEta,
-            m,
-        );
-        assert_eq!(out.served_count(), 0);
-        assert_eq!(out.blocked_count(BlockReason::Congestion), 2);
-        assert_eq!(out.blocked_count(BlockReason::NoRoute), 0);
-    }
-
-    #[test]
-    fn no_route_is_distinguished_from_congestion() {
-        let mut g = star(0.9);
-        let isolated = g.add_node();
-        let m = CapacityModel {
-            attempt_rate_hz: 1000.0,
-            window_s: 30.0,
-        };
-        let out = serve_with_capacity(
-            &g,
-            &reqs(&[(1, isolated), (1, 2)]),
-            RouteMetric::PaperInverseEta,
-            m,
-        );
-        assert_eq!(out.blocked_count(BlockReason::NoRoute), 1);
-        assert_eq!(out.served_count(), 1);
-    }
-
-    #[test]
-    fn hub_links_saturate_in_arrival_order() {
-        // Budget per link: exactly 2 pairs. Requests 1-2, 1-3, 1-4 each use
-        // the hub-1 link; the third must be blocked.
-        let g = star(1.0);
-        let m = CapacityModel {
-            attempt_rate_hz: 2.0,
-            window_s: 1.0,
-        };
-        let out = serve_with_capacity(
-            &g,
-            &reqs(&[(1, 2), (1, 3), (1, 4)]),
-            RouteMetric::PaperInverseEta,
-            m,
-        );
-        assert!(out.served[0].is_some());
-        assert!(out.served[1].is_some());
-        assert!(out.served[2].is_none(), "third request exhausts link 0-1");
-        assert_eq!(out.blocked_count(BlockReason::Congestion), 1);
-    }
-
-    #[test]
-    fn budget_scales_with_eta() {
-        // Weak links run out first: eta 0.5 halves the budget.
-        let g = star(0.5);
-        let m = CapacityModel {
-            attempt_rate_hz: 2.0,
-            window_s: 1.0,
-        }; // 1 pair/link
-        let out = serve_with_capacity(
-            &g,
-            &reqs(&[(1, 2), (1, 3)]),
-            RouteMetric::PaperInverseEta,
-            m,
-        );
-        assert_eq!(out.served_count(), 1);
-    }
-
-    #[test]
-    fn served_distributions_carry_fidelity() {
-        let g = star(0.81);
-        let m = CapacityModel {
-            attempt_rate_hz: 100.0,
-            window_s: 1.0,
-        };
-        let out = serve_with_capacity(&g, &reqs(&[(1, 2)]), RouteMetric::PaperInverseEta, m);
-        let d = out.served[0].as_ref().unwrap();
-        assert!((d.eta - 0.81 * 0.81).abs() < 1e-12);
-        assert!(d.fidelity > 0.85);
     }
 }

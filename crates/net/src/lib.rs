@@ -41,7 +41,6 @@
 pub mod capacity;
 pub mod coverage;
 pub mod entanglement;
-pub mod events;
 pub mod faults;
 pub mod heralded;
 pub mod host;
@@ -53,12 +52,11 @@ pub mod simulator;
 pub mod snapshot;
 pub mod sweep_engine;
 
-pub use capacity::{serve_with_capacity, BlockReason, CapacityModel};
+pub use capacity::CapacityModel;
 pub use coverage::{CoverageAnalyzer, CoverageReport};
 pub use entanglement::{
     distribute, distribute_time_expanded, distribute_with, realize_with_hold, Distribution,
 };
-pub use events::{LinkEvent, LinkStats, LinkTimeline};
 pub use faults::{CompiledFaults, FaultModel};
 pub use heralded::{Delivery, HeraldedLink, HeraldedStats};
 pub use host::{Host, HostKind, LanId};

@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use qntn_geo::Geodetic;
-use qntn_net::capacity::{serve_with_capacity, CapacityModel};
-use qntn_net::requests::{sample_steps, Request};
+use qntn_net::requests::sample_steps;
 use qntn_net::{Host, QuantumNetworkSim, SimConfig};
 use qntn_routing::{Graph, RouteMetric};
 
@@ -87,37 +86,6 @@ proptest! {
                 prop_assert!(d.path.contains(&hap), "path {:?}", d.path);
             }
         }
-    }
-
-    #[test]
-    fn capacity_never_serves_more_than_ideal(
-        n_a in 2usize..4,
-        n_b in 2usize..4,
-        seed in any::<u64>(),
-        rate in 0.001f64..10.0,
-    ) {
-        let sim = hap_network(n_a, n_b, seed);
-        let g = sim.active_graph_at(0);
-        let requests: Vec<Request> = (0..n_a)
-            .flat_map(|a| (0..n_b).map(move |b| Request { src: a, dst: n_a + b }))
-            .collect();
-        let model = CapacityModel { attempt_rate_hz: rate, window_s: 30.0 };
-        let constrained = serve_with_capacity(&g, &requests, RouteMetric::PaperInverseEta, model);
-        let unconstrained = serve_with_capacity(
-            &g,
-            &requests,
-            RouteMetric::PaperInverseEta,
-            CapacityModel { attempt_rate_hz: 1e9, window_s: 30.0 },
-        );
-        prop_assert!(constrained.served_count() <= unconstrained.served_count());
-        // Monotone in rate: doubling the rate cannot reduce service.
-        let doubled = serve_with_capacity(
-            &g,
-            &requests,
-            RouteMetric::PaperInverseEta,
-            CapacityModel { attempt_rate_hz: rate * 2.0, window_s: 30.0 },
-        );
-        prop_assert!(doubled.served_count() >= constrained.served_count());
     }
 
     #[test]

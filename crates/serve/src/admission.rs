@@ -1,5 +1,11 @@
 //! Capacity admission: the serve timeline with finite link budgets.
 //!
+//! This is the capacity-admission *reference*: a direct, per-step
+//! Bellman–Ford rendering of the admission rules that production never
+//! calls. [`crate::overload::serve_overload`] serves capacity-coupled
+//! traffic, and with every overload mechanism disabled it is tested
+//! bit-for-bit against this function.
+//!
 //! Without capacity, arrival groups are independent and serve in
 //! parallel. With a [`CapacityModel`], requests attempting the same step
 //! contend for the same per-link pair budgets, so the timeline runs

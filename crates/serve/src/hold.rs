@@ -16,13 +16,16 @@
 //!
 //! With [`HoldPolicy::disabled`] (horizon 0, no memories, floor 0) this
 //! module must reproduce the per-step serve **bit-identically**, clean
-//! and faulted. That holds by construction, not by short-circuit: the
-//! attempt loop below mirrors `serve_group_into` statement for statement;
-//! a horizon-0 time-expanded graph carries exactly the per-step active
-//! edge list (same floats, same order); `time_sssp_into` runs the same
-//! relaxation loop as `bellman_ford_all_into`; and
-//! `extract_time_route` + `realize_with_hold(·, ·, 1.0)` perform the same
-//! float operations as `route_from_table` + `realize`. The differential
+//! and faulted. There is one attempt loop — the group core in
+//! [`crate::serve`] — and these entry points only hand it the held
+//! router instead of the per-step one; they never switch routers by
+//! inspecting the policy. The equivalence therefore rests on the router
+//! arms alone: a horizon-0 time-expanded graph carries exactly the
+//! per-step active edge list (same floats, same order);
+//! `time_sssp_into` runs the same relaxation loop as
+//! `bellman_ford_all_into`; and `extract_time_route` with a zero η floor
+//! yields the route, link η's and `hold_eta = 1.0` that
+//! `route_from_table` and the per-step η lookup yield. The differential
 //! proptests in `tests/timexp.rs` and this crate's test suite pin it.
 //!
 //! ## Outcome semantics
@@ -37,14 +40,12 @@
 //! per-step ones.
 
 use crate::request::RequestQueue;
-use crate::serve::{report_from_aggs, GroupAgg, ServeReport};
-use qntn_net::entanglement::realize_with_hold;
+use crate::serve::{GroupServer, Router, ServeReport};
 use qntn_net::pipeline::host_hold_factors;
 use qntn_net::requests::{RetryOutcome, RetryPolicy};
-use qntn_net::{SweepEngine, SweepScratch};
+use qntn_net::SweepEngine;
 use qntn_quantum::memory::ClassMemory;
-use qntn_routing::{extract_time_route, time_sssp_into, RouteMetric};
-use std::ops::Range;
+use qntn_routing::RouteMetric;
 
 /// How far ahead the server may look, and what it costs to wait.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,91 +91,13 @@ impl HoldPolicy {
     }
 }
 
-/// Serve one arrival group hold-aware, appending outcomes (queue order)
-/// to `out` — the mirror of the per-step `serve_group_into` with the
-/// time-expanded graph swapped in. See the module docs for the
-/// equivalence argument.
-#[allow(clippy::too_many_arguments)] // the serving core's full context, plus the hold policy
-fn serve_group_hold_into(
-    engine: &SweepEngine<'_>,
-    queue: &RequestQueue,
-    group: Range<usize>,
-    arrival: usize,
-    policy: RetryPolicy,
-    metric: RouteMetric,
-    hold: &HoldPolicy,
-    hold_factors: &[f64],
-    scratch: &mut SweepScratch,
-    out: &mut Vec<RetryOutcome>,
-) {
-    let n_steps = engine.sim().steps();
-    let schedule = policy.attempt_steps(arrival, n_steps);
-    let eta_floor = hold.eta_floor();
-    let len = group.len();
-    let mut outcome: Vec<Option<RetryOutcome>> = vec![None; len];
-    let mut eligible_attempts = vec![0usize; len];
-    let mut pending = len;
-    let mut by_src: Vec<(usize, usize)> = Vec::with_capacity(len);
-
-    for (k, &t) in schedule.iter().enumerate() {
-        if pending == 0 {
-            break;
-        }
-        let offset = t - arrival;
-        by_src.clear();
-        for li in 0..len {
-            if outcome[li].is_some() {
-                continue;
-            }
-            let qi = group.start + li;
-            if k > 0 && offset > queue.deadline(qi) {
-                continue;
-            }
-            eligible_attempts[li] += 1;
-            by_src.push((queue.src(qi), li));
-        }
-        if by_src.is_empty() {
-            break;
-        }
-        engine.time_expanded_into(t, hold.horizon_steps, hold_factors, scratch);
-        by_src.sort_by_key(|&(src, _)| src);
-        let mut i = 0;
-        while i < by_src.len() {
-            let src = by_src[i].0;
-            time_sssp_into(&scratch.texp, src, metric, &mut scratch.ttable);
-            while i < by_src.len() && by_src[i].0 == src {
-                let li = by_src[i].1;
-                let qi = group.start + li;
-                i += 1;
-                let Some(tr) = extract_time_route(
-                    &scratch.texp,
-                    &scratch.ttable,
-                    src,
-                    queue.dst(qi),
-                    metric,
-                    eta_floor,
-                ) else {
-                    continue;
-                };
-                let d = realize_with_hold(&tr.route, &tr.link_etas, tr.hold_eta);
-                let waited = offset + tr.delivered_layer;
-                outcome[li] = Some(if k == 0 && waited == 0 {
-                    RetryOutcome::ServedFirstTry(d)
-                } else {
-                    RetryOutcome::ServedAfterRetry {
-                        distribution: d,
-                        attempts: k + 1,
-                        waited_steps: waited,
-                    }
-                });
-                pending -= 1;
-            }
-        }
-    }
-    for (li, slot) in outcome.into_iter().enumerate() {
-        out.push(slot.unwrap_or(RetryOutcome::Expired {
-            attempts: eligible_attempts[li],
-        }));
+/// The held router for `hold` over `hold_factors` (from
+/// [`host_hold_factors`]).
+fn held_router<'a>(hold: &HoldPolicy, hold_factors: &'a [f64]) -> Router<'a> {
+    Router::Held {
+        horizon: hold.horizon_steps,
+        hold_factors,
+        eta_floor: hold.eta_floor(),
     }
 }
 
@@ -190,22 +113,18 @@ pub fn serve_full_with_holds(
     hold: &HoldPolicy,
 ) -> Vec<RetryOutcome> {
     let factors = host_hold_factors(engine.sim().hosts(), &hold.memory);
-    let arrivals = queue.arrival_steps();
-    let per_group = engine.map_steps(&arrivals, |scratch, step| {
-        let range = queue
-            .group_range(step)
-            .expect("arrival steps come from the queue's own groups");
-        let mut out = Vec::with_capacity(range.len());
-        serve_group_hold_into(
-            engine, queue, range, step, policy, metric, hold, &factors, scratch, &mut out,
-        );
-        out
-    });
-    per_group.concat()
+    GroupServer {
+        engine,
+        queue,
+        policy,
+        metric,
+        router: held_router(hold, &factors),
+    }
+    .full()
 }
 
-/// Serve the whole queue hold-aware into an SLO report, one [`GroupAgg`]
-/// per arrival group. With [`HoldPolicy::disabled`] this equals
+/// Serve the whole queue hold-aware into an SLO report, one
+/// [`crate::serve::GroupAgg`] per arrival group. With [`HoldPolicy::disabled`] this equals
 /// [`crate::serve::serve_report`] bit for bit.
 pub fn serve_report_with_holds(
     engine: &SweepEngine<'_>,
@@ -216,26 +135,12 @@ pub fn serve_report_with_holds(
     rejected: u64,
 ) -> ServeReport {
     let factors = host_hold_factors(engine.sim().hosts(), &hold.memory);
-    let arrivals = queue.arrival_steps();
-    let aggs = engine.map_steps(&arrivals, |scratch, step| {
-        let range = queue
-            .group_range(step)
-            .expect("arrival steps come from the queue's own groups");
-        let mut outcomes = Vec::with_capacity(range.len());
-        serve_group_hold_into(
-            engine,
-            queue,
-            range.clone(),
-            step,
-            policy,
-            metric,
-            hold,
-            &factors,
-            scratch,
-            &mut outcomes,
-        );
-        let classes: Vec<usize> = range.map(|qi| queue.class(qi)).collect();
-        GroupAgg::from_outcomes(&outcomes, &classes)
-    });
-    report_from_aggs(&aggs, rejected)
+    GroupServer {
+        engine,
+        queue,
+        policy,
+        metric,
+        router: held_router(hold, &factors),
+    }
+    .report(rejected)
 }

@@ -28,19 +28,27 @@
 //!   *time-expanded* graph within a bounded horizon, so nodes with
 //!   decohering quantum memories ([`qntn_quantum::memory`]) can hold a
 //!   Bell half for a better pass and swap across non-simultaneous links.
-//!   A [`HoldPolicy::disabled`] run reproduces [`serve`] bit-identically
-//!   (the zero-horizon differential contract).
-//! - [`admission`] — optional finite-capacity admission
+//!   Its entry points run the same group core as [`serve`] with the held
+//!   router in place of the per-step one; a [`HoldPolicy::disabled`] run
+//!   reproduces [`serve`] bit-identically (the zero-horizon differential
+//!   contract).
+//! - [`admission`] — the capacity-admission reference
 //!   ([`qntn_net::capacity::CapacityModel`]): a sequential, deterministic
 //!   timeline where same-step requests contend for per-link pair budgets
-//!   in (priority, queue order).
-//! - [`overload`] — overload control on top of the admission timeline:
-//!   retry budgets (token buckets over retry attempts), deterministic
-//!   utilization-threshold load shedding with per-request
-//!   [`ShedReason`]s, and a health-driven degradation ladder
+//!   in (priority, queue order). Tests compare the overload layer
+//!   against it.
+//! - [`overload`] — the sequential serving agenda for coupled requests:
+//!   capacity admission plus retry budgets (token buckets over retry
+//!   attempts), deterministic utilization-threshold load shedding with
+//!   per-request [`ShedReason`]s, and a health-driven degradation ladder
 //!   ([`DegradePolicy`]). An [`OverloadPolicy::disabled`] run reproduces
-//!   the admission and hold paths bit-identically (the zero-config
-//!   differential contract).
+//!   the admission reference and the hold path bit-identically (the
+//!   zero-config differential contract).
+//!
+//! Two loops serve every request: the parallel per-arrival-group core
+//! in [`serve`], used when nothing couples requests, and the sequential
+//! agenda in [`overload`], used when capacity or budgets couple them.
+//! Both route a step's requests through one bucket router.
 
 pub mod admission;
 pub mod hold;

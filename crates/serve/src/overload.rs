@@ -28,15 +28,18 @@
 //! ## The zero-config differential contract
 //!
 //! [`OverloadPolicy::disabled`] must reproduce the existing serve paths
-//! **bit for bit**, clean and faulted. That holds by construction: the
-//! timeline below mirrors [`crate::admission::serve_with_admission`]
-//! statement for statement (same agenda, same per-step budget table,
-//! same admit order, same reschedule/expiry arithmetic), with the
-//! per-step router swapped for the time-expanded one — the seam PR 8
-//! pinned bitwise at horizon 0. So:
+//! **bit for bit**, clean and faulted. The timeline below is one of the
+//! crate's two serving loops: the sequential agenda, used whenever
+//! capacity or budgets couple requests. It routes each step's bucket
+//! through the same bucket router as the parallel group core in
+//! [`crate::serve`] (held arm; at horizon 0 bitwise the per-step arm),
+//! and it keeps the admission reference's agenda, per-step budget
+//! table, admit order and reschedule/expiry arithmetic. With every
+//! mechanism disabled the extra gates never fire, so:
 //!
 //! - with a [`CapacityModel`] and [`HoldPolicy::disabled`], the run
-//!   equals [`crate::admission::serve_with_admission`];
+//!   equals [`crate::admission::serve_with_admission`], the
+//!   capacity-admission reference;
 //! - without a capacity model, the run equals
 //!   [`crate::hold::serve_full_with_holds`] (requests no longer contend,
 //!   so the sequential agenda visits exactly the per-group schedule).
@@ -57,14 +60,14 @@
 
 use crate::hold::HoldPolicy;
 use crate::request::{RequestQueue, PRIORITY_CLASSES};
-use crate::serve::{report_from_aggs, GroupAgg, ServeReport};
+use crate::serve::{report_from_aggs, GroupAgg, Router, ServeReport};
 use qntn_net::capacity::CapacityModel;
 use qntn_net::entanglement::realize_with_hold;
 use qntn_net::faults::CompiledFaults;
 use qntn_net::pipeline::host_hold_factors;
 use qntn_net::requests::{RetryOutcome, RetryPolicy};
 use qntn_net::{SweepEngine, SweepScratch};
-use qntn_routing::{extract_time_route, time_sssp_into, RouteMetric};
+use qntn_routing::{RouteMetric, TimeRoute};
 
 /// Token buckets over retry attempts. First attempts are never charged;
 /// every retry consumes one token from the global bucket *and* one from
@@ -145,8 +148,7 @@ impl ShedPolicy {
     }
 }
 
-/// Why a request was shed, reported positionally per request
-/// (mirroring [`qntn_net::capacity::BlockReason`]).
+/// Why a request was shed, reported positionally per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The step's offered attempts exceeded the utilization threshold of
@@ -362,6 +364,7 @@ pub fn serve_overload(
     let mut edge_keys: Vec<(usize, usize)> = Vec::new();
     let mut budgets: Vec<f64> = Vec::new();
     let mut bucket: Vec<usize> = Vec::new();
+    let mut by_src: Vec<(usize, usize)> = Vec::new();
     let max_attempts = policy.max_attempts.max(1);
 
     // Token buckets start full.
@@ -522,29 +525,30 @@ pub fn serve_overload(
         }
 
         // Route everything first (admission cannot change routes), one
-        // time-expanded SSSP per distinct source. At horizon 0 this is
-        // bitwise the per-step router (the PR 8 seam).
-        engine.time_expanded_into(t, horizon, &hold_factors, &mut scratch);
-        let mut routed: Vec<Option<qntn_routing::TimeRoute>> = vec![None; bucket.len()];
-        let mut order: Vec<usize> = (0..bucket.len()).collect();
-        order.sort_by_key(|&bi| queue.src(bucket[bi]));
-        let mut i = 0;
-        while i < order.len() {
-            let src = queue.src(bucket[order[i]]);
-            time_sssp_into(&scratch.texp, src, metric, &mut scratch.ttable);
-            while i < order.len() && queue.src(bucket[order[i]]) == src {
-                let bi = order[i];
-                routed[bi] = extract_time_route(
-                    &scratch.texp,
-                    &scratch.ttable,
-                    src,
-                    queue.dst(bucket[bi]),
-                    metric,
-                    eta_floor,
-                );
-                i += 1;
-            }
-        }
+        // time-expanded SSSP per distinct source through the group core's
+        // bucket router. At horizon 0 this is bitwise the per-step router.
+        let mut routed: Vec<Option<TimeRoute>> = vec![None; bucket.len()];
+        by_src.clear();
+        by_src.extend(
+            bucket
+                .iter()
+                .enumerate()
+                .map(|(bi, &qi)| (queue.src(qi), bi)),
+        );
+        let router = Router::Held {
+            horizon,
+            hold_factors: &hold_factors,
+            eta_floor,
+        };
+        router.route_bucket(
+            engine,
+            t,
+            metric,
+            &mut by_src,
+            |bi| queue.dst(bucket[bi]),
+            &mut scratch,
+            |bi, tr| routed[bi] = Some(tr),
+        );
 
         // Admit in (priority desc, queue index asc) order.
         let mut admit: Vec<usize> = (0..bucket.len()).collect();

@@ -16,7 +16,23 @@
 //! *prefix* of its group's, so per-request deadlines cost one comparison
 //! per round, not a schedule recomputation.
 //!
-//! Three entry points share one group-serving core:
+//! ## One group core, two routers
+//!
+//! Each attempt round routes its bucket through a private `Router`: the
+//! per-step arm (the attempt step's thresholded graph, Bellman–Ford) or
+//! the held arm (a time-expanded graph over a memory horizon, see
+//! [`crate::hold`]). Both arms hand back a [`TimeRoute`] and realize it
+//! through `realize_with_hold`; the per-step arm's routes carry
+//! `hold_eta = 1.0` and deliver on layer 0, where that call *is*
+//! `realize`. The entry point picks the arm — [`serve_full`] and
+//! [`serve_report`] route per step, the `*_with_holds` entry points
+//! always route held, even at horizon 0 — so the zero-horizon
+//! differential tests keep comparing two different routers.
+//!
+//! The bucket router is shared with [`crate::overload::serve_overload`]'s
+//! sequential agenda, the only other serving loop.
+//!
+//! Three entry points share the group core:
 //! - [`serve_full`] materializes every [`RetryOutcome`] (differential
 //!   tests, small batches);
 //! - [`serve_report`] folds each group straight into a compact
@@ -28,114 +44,227 @@
 use crate::request::{RequestQueue, PRIORITY_CLASSES};
 use qntn_common::codec::{ByteReader, DecodeError, FrameCodec};
 use qntn_common::QntnError;
-use qntn_net::entanglement::realize;
+use qntn_net::entanglement::realize_with_hold;
 use qntn_net::requests::{RetryOutcome, RetryPolicy};
 use qntn_net::runtime::{run_steps, RunPolicy, RunReport};
 use qntn_net::{SweepEngine, SweepScratch};
-use qntn_routing::{bellman_ford_all_into, route_from_table, RouteMetric};
+use qntn_routing::{
+    bellman_ford_all_into, extract_time_route, route_from_table, time_sssp_into, RouteMetric,
+    TimeRoute,
+};
 use std::ops::Range;
 
-/// Serve one arrival group, appending outcomes (queue order) to `out`.
-///
-/// Per attempt round: build the (possibly faulted) thresholded graph once,
-/// stable-sort the still-pending eligible requests by source, run one SSSP
-/// per distinct source, extract one route per destination. Offsets grow
-/// monotonically, so when every pending request has fallen past its
-/// deadline the remaining rounds are skipped wholesale.
-#[allow(clippy::too_many_arguments)] // the serving core's full context: engine, queue, group, policy, metric, scratch, sink
-fn serve_group_into(
-    engine: &SweepEngine<'_>,
-    queue: &RequestQueue,
-    group: Range<usize>,
-    arrival: usize,
-    policy: RetryPolicy,
-    metric: RouteMetric,
-    scratch: &mut SweepScratch,
-    out: &mut Vec<RetryOutcome>,
-) {
-    let n_steps = engine.sim().steps();
-    let schedule = policy.attempt_steps(arrival, n_steps);
-    let len = group.len();
-    let mut outcome: Vec<Option<RetryOutcome>> = vec![None; len];
-    let mut eligible_attempts = vec![0usize; len];
-    let mut pending = len;
-    let mut by_src: Vec<(usize, usize)> = Vec::with_capacity(len);
+/// How an attempt round routes its bucket.
+#[derive(Clone, Copy)]
+pub(crate) enum Router<'a> {
+    /// The attempt step's own thresholded graph.
+    PerStep,
+    /// A time-expanded graph spanning `horizon` further steps, with
+    /// per-host memory decay factors and the η-space fidelity floor.
+    Held {
+        horizon: usize,
+        hold_factors: &'a [f64],
+        eta_floor: f64,
+    },
+}
 
-    for (k, &t) in schedule.iter().enumerate() {
-        if pending == 0 {
-            break;
+impl Router<'_> {
+    /// Route one bucket at step `t`: build this arm's graph, sort
+    /// `by_src` — `(source, key)` pairs — stably by source, run one SSSP
+    /// per distinct source and extract one route per entry, handing each
+    /// found route to `sink` with its key. Keys of one source keep their
+    /// input order; entries without a route never reach `sink`.
+    #[allow(clippy::too_many_arguments)] // the router's full context: engine, step, metric, bucket, dst lookup, scratch, sink
+    pub(crate) fn route_bucket(
+        &self,
+        engine: &SweepEngine<'_>,
+        t: usize,
+        metric: RouteMetric,
+        by_src: &mut [(usize, usize)],
+        dst: impl Fn(usize) -> usize,
+        scratch: &mut SweepScratch,
+        mut sink: impl FnMut(usize, TimeRoute),
+    ) {
+        match *self {
+            Router::PerStep => engine.active_graph_into(t, scratch),
+            Router::Held {
+                horizon,
+                hold_factors,
+                ..
+            } => engine.time_expanded_into(t, horizon, hold_factors, scratch),
         }
-        let offset = t - arrival;
-        by_src.clear();
-        for li in 0..len {
-            if outcome[li].is_some() {
-                continue;
-            }
-            let qi = group.start + li;
-            // The effective deadline is the tighter of the request's and
-            // the policy's; the group schedule already enforced the
-            // policy's, so only the per-request cap needs checking.
-            if k > 0 && offset > queue.deadline(qi) {
-                continue;
-            }
-            eligible_attempts[li] += 1;
-            by_src.push((queue.src(qi), li));
-        }
-        if by_src.is_empty() {
-            // Offsets only grow: nobody left will ever be eligible again.
-            break;
-        }
-        engine.active_graph_into(t, scratch);
-        // Stable by source: requests of one source stay in queue order.
         by_src.sort_by_key(|&(src, _)| src);
-        let graph = &scratch.active;
-        let mut i = 0;
-        while i < by_src.len() {
-            let src = by_src[i].0;
-            bellman_ford_all_into(graph, src, metric, &mut scratch.sssp);
-            while i < by_src.len() && by_src[i].0 == src {
-                let li = by_src[i].1;
-                let qi = group.start + li;
-                i += 1;
-                let Some(route) =
-                    route_from_table(graph, &scratch.sssp, src, queue.dst(qi), metric)
-                else {
-                    continue;
-                };
-                // Same link-η collection as `distribute_with`: a lookup
-                // miss means a corrupt table, treated as unroutable.
-                let mut link_etas = Vec::with_capacity(route.nodes.len().saturating_sub(1));
-                let mut intact = true;
-                for w in route.nodes.windows(2) {
-                    match graph.eta(w[0], w[1]) {
-                        Some(eta) => link_etas.push(eta),
-                        None => {
-                            intact = false;
-                            break;
-                        }
-                    }
+        for run in by_src.chunk_by(|a, b| a.0 == b.0) {
+            let src = run[0].0;
+            match *self {
+                Router::PerStep => {
+                    bellman_ford_all_into(&scratch.active, src, metric, &mut scratch.sssp)
                 }
-                if !intact {
-                    continue;
+                Router::Held { .. } => {
+                    time_sssp_into(&scratch.texp, src, metric, &mut scratch.ttable)
                 }
-                let d = realize(&route, &link_etas);
-                outcome[li] = Some(if k == 0 {
-                    RetryOutcome::ServedFirstTry(d)
-                } else {
-                    RetryOutcome::ServedAfterRetry {
-                        distribution: d,
-                        attempts: k + 1,
-                        waited_steps: offset,
-                    }
-                });
-                pending -= 1;
+            }
+            for &(_, key) in run {
+                if let Some(tr) = self.extract(scratch, src, dst(key), metric) {
+                    sink(key, tr);
+                }
             }
         }
     }
-    for (li, slot) in outcome.into_iter().enumerate() {
-        out.push(slot.unwrap_or(RetryOutcome::Expired {
-            attempts: eligible_attempts[li],
-        }));
+
+    /// One route out of the current SSSP table.
+    fn extract(
+        &self,
+        scratch: &SweepScratch,
+        src: usize,
+        dst: usize,
+        metric: RouteMetric,
+    ) -> Option<TimeRoute> {
+        match *self {
+            Router::PerStep => {
+                let graph = &scratch.active;
+                let route = route_from_table(graph, &scratch.sssp, src, dst, metric)?;
+                // Same link-η collection as `distribute_with`: a lookup
+                // miss means a corrupt table, treated as unroutable.
+                let mut link_etas = Vec::with_capacity(route.nodes.len().saturating_sub(1));
+                for w in route.nodes.windows(2) {
+                    link_etas.push(graph.eta(w[0], w[1])?);
+                }
+                let swaps = route.nodes.len().saturating_sub(2);
+                Some(TimeRoute {
+                    route,
+                    link_etas,
+                    hold_eta: 1.0,
+                    hold_steps: 0,
+                    swaps,
+                    delivered_layer: 0,
+                })
+            }
+            Router::Held { eta_floor, .. } => {
+                extract_time_route(&scratch.texp, &scratch.ttable, src, dst, metric, eta_floor)
+            }
+        }
+    }
+}
+
+/// Everything an arrival group's service depends on besides the group
+/// itself: the per-group core and the drivers that fan it out.
+pub(crate) struct GroupServer<'e, 'a> {
+    pub(crate) engine: &'e SweepEngine<'e>,
+    pub(crate) queue: &'e RequestQueue,
+    pub(crate) policy: RetryPolicy,
+    pub(crate) metric: RouteMetric,
+    pub(crate) router: Router<'a>,
+}
+
+impl GroupServer<'_, '_> {
+    /// The queue range of the arrival group at step `arrival`.
+    fn group(&self, arrival: usize) -> Range<usize> {
+        self.queue
+            .group_range(arrival)
+            .expect("arrival steps come from the queue's own groups")
+    }
+
+    /// Serve one arrival group, returning its outcomes in queue order.
+    ///
+    /// Per attempt round: collect the still-pending eligible requests,
+    /// route them as one bucket, realize every found route. A delivery
+    /// that waited (retry offset plus delivery layer) is a
+    /// `ServedAfterRetry`. Offsets grow monotonically, so when every
+    /// pending request has fallen past its deadline the remaining rounds
+    /// are skipped wholesale.
+    fn outcomes(&self, arrival: usize, scratch: &mut SweepScratch) -> Vec<RetryOutcome> {
+        let queue = self.queue;
+        let group = self.group(arrival);
+        let schedule = self
+            .policy
+            .attempt_steps(arrival, self.engine.sim().steps());
+        let len = group.len();
+        let mut outcome: Vec<Option<RetryOutcome>> = vec![None; len];
+        let mut eligible_attempts = vec![0usize; len];
+        let mut pending = len;
+        let mut by_src: Vec<(usize, usize)> = Vec::with_capacity(len);
+
+        for (k, &t) in schedule.iter().enumerate() {
+            if pending == 0 {
+                break;
+            }
+            let offset = t - arrival;
+            by_src.clear();
+            for li in 0..len {
+                if outcome[li].is_some() {
+                    continue;
+                }
+                let qi = group.start + li;
+                // The effective deadline is the tighter of the request's
+                // and the policy's; the group schedule already enforced
+                // the policy's, so only the per-request cap needs checking.
+                if k > 0 && offset > queue.deadline(qi) {
+                    continue;
+                }
+                eligible_attempts[li] += 1;
+                by_src.push((queue.src(qi), li));
+            }
+            if by_src.is_empty() {
+                // Offsets only grow: nobody left will ever be eligible again.
+                break;
+            }
+            self.router.route_bucket(
+                self.engine,
+                t,
+                self.metric,
+                &mut by_src,
+                |li| queue.dst(group.start + li),
+                scratch,
+                |li, tr| {
+                    let d = realize_with_hold(&tr.route, &tr.link_etas, tr.hold_eta);
+                    let waited = offset + tr.delivered_layer;
+                    outcome[li] = Some(if k == 0 && waited == 0 {
+                        RetryOutcome::ServedFirstTry(d)
+                    } else {
+                        RetryOutcome::ServedAfterRetry {
+                            distribution: d,
+                            attempts: k + 1,
+                            waited_steps: waited,
+                        }
+                    });
+                    pending -= 1;
+                },
+            );
+        }
+        outcome
+            .into_iter()
+            .zip(eligible_attempts)
+            .map(|(slot, attempts)| slot.unwrap_or(RetryOutcome::Expired { attempts }))
+            .collect()
+    }
+
+    /// Serve the arrival group at step `arrival` straight into a
+    /// [`GroupAgg`] — the per-group evaluation of [`serve_report`], the
+    /// `*_with_holds` report and [`serve_resilient`].
+    fn agg(&self, arrival: usize, scratch: &mut SweepScratch) -> GroupAgg {
+        let outcomes = self.outcomes(arrival, scratch);
+        let classes: Vec<usize> = self.group(arrival).map(|qi| self.queue.class(qi)).collect();
+        GroupAgg::from_outcomes(&outcomes, &classes)
+    }
+
+    /// Every accepted request's outcome, in queue order. Parallel over
+    /// arrival groups (honoring the engine's parallelism toggle); results
+    /// are bit-identical either way.
+    pub(crate) fn full(&self) -> Vec<RetryOutcome> {
+        let arrivals = self.queue.arrival_steps();
+        self.engine
+            .map_steps(&arrivals, |scratch, step| self.outcomes(step, scratch))
+            .concat()
+    }
+
+    /// The SLO report, holding only one [`GroupAgg`] per arrival group.
+    pub(crate) fn report(&self, rejected: u64) -> ServeReport {
+        let arrivals = self.queue.arrival_steps();
+        let aggs = self
+            .engine
+            .map_steps(&arrivals, |scratch, step| self.agg(step, scratch));
+        report_from_aggs(&aggs, rejected)
     }
 }
 
@@ -149,18 +278,14 @@ pub fn serve_full(
     policy: RetryPolicy,
     metric: RouteMetric,
 ) -> Vec<RetryOutcome> {
-    let arrivals = queue.arrival_steps();
-    let per_group = engine.map_steps(&arrivals, |scratch, step| {
-        let range = queue
-            .group_range(step)
-            .expect("arrival steps come from the queue's own groups");
-        let mut out = Vec::with_capacity(range.len());
-        serve_group_into(
-            engine, queue, range, step, policy, metric, scratch, &mut out,
-        );
-        out
-    });
-    per_group.concat()
+    GroupServer {
+        engine,
+        queue,
+        policy,
+        metric,
+        router: Router::PerStep,
+    }
+    .full()
 }
 
 /// Per-arrival-group aggregate — the compact fold that lets a
@@ -323,34 +448,6 @@ impl FrameCodec for GroupAgg {
         }
         Ok(agg)
     }
-}
-
-/// Serve one arrival group straight into a [`GroupAgg`] — the per-step
-/// evaluation shared by [`serve_report`] and [`serve_resilient`].
-fn serve_group_agg(
-    engine: &SweepEngine<'_>,
-    queue: &RequestQueue,
-    arrival: usize,
-    policy: RetryPolicy,
-    metric: RouteMetric,
-    scratch: &mut SweepScratch,
-) -> GroupAgg {
-    let range = queue
-        .group_range(arrival)
-        .expect("arrival steps come from the queue's own groups");
-    let mut outcomes = Vec::with_capacity(range.len());
-    serve_group_into(
-        engine,
-        queue,
-        range.clone(),
-        arrival,
-        policy,
-        metric,
-        scratch,
-        &mut outcomes,
-    );
-    let classes: Vec<usize> = range.map(|qi| queue.class(qi)).collect();
-    GroupAgg::from_outcomes(&outcomes, &classes)
 }
 
 /// Per-priority-class service-level numbers.
@@ -558,11 +655,14 @@ pub fn serve_report(
     metric: RouteMetric,
     rejected: u64,
 ) -> ServeReport {
-    let arrivals = queue.arrival_steps();
-    let aggs = engine.map_steps(&arrivals, |scratch, step| {
-        serve_group_agg(engine, queue, step, policy, metric, scratch)
-    });
-    report_from_aggs(&aggs, rejected)
+    GroupServer {
+        engine,
+        queue,
+        policy,
+        metric,
+        router: Router::PerStep,
+    }
+    .report(rejected)
 }
 
 /// [`serve_report`] under the resilient runtime contract: checkpointed,
@@ -578,13 +678,19 @@ pub fn serve_resilient(
     caller_fingerprint: u64,
     run_policy: &RunPolicy,
 ) -> Result<RunReport<GroupAgg>, QntnError> {
-    let arrivals = queue.arrival_steps();
+    let server = GroupServer {
+        engine,
+        queue,
+        policy,
+        metric,
+        router: Router::PerStep,
+    };
     run_steps(
         engine,
-        &arrivals,
+        &queue.arrival_steps(),
         caller_fingerprint,
         run_policy,
-        |scratch, step| serve_group_agg(engine, queue, step, policy, metric, scratch),
+        |scratch, step| server.agg(step, scratch),
     )
 }
 
