@@ -18,11 +18,20 @@ use qntn_channel::params::FsoParams;
 use qntn_core::architecture::SpaceGround;
 use qntn_core::experiments::fidelity::FidelityExperiment;
 use qntn_core::experiments::fig6::CoverageSweep;
+use qntn_core::experiments::serve_sampled;
 use qntn_core::scenario::Qntn;
-use qntn_net::requests::{sample_steps, sweep};
-use qntn_net::SimConfig;
+use qntn_net::requests::{aggregate_retry_outcomes, sample_steps, RetryPolicy, RetryStats};
+use qntn_net::{QuantumNetworkSim, SimConfig, SweepEngine};
 use qntn_orbit::PerturbationModel;
 use qntn_routing::RouteMetric;
+
+/// The paper's single-attempt request experiment at `steps`, 40 requests
+/// per step, seed 2024.
+fn sweep(sim: &QuantumNetworkSim, steps: &[usize], metric: RouteMetric) -> RetryStats {
+    let engine = SweepEngine::for_steps(sim, steps);
+    let outcomes = serve_sampled(&engine, steps, 40, 2024, metric, RetryPolicy::none());
+    aggregate_retry_outcomes(&outcomes)
+}
 
 fn ablation_routing_metric(c: &mut Criterion) {
     let scenario = Qntn::standard();
@@ -42,7 +51,7 @@ fn ablation_routing_metric(c: &mut Criterion) {
             RouteMetric::NegLogEta,
             RouteMetric::HopCount,
         ] {
-            let s = sweep(arch.sim(), &steps, 40, 2024, metric);
+            let s = sweep(arch.sim(), &steps, metric);
             eprintln!(
                 "  {:<24} served {:>5.1}%  F_end2end {:.4}  eta {:.4}  hops {:.2}",
                 metric.label(),
@@ -62,7 +71,7 @@ fn ablation_routing_metric(c: &mut Criterion) {
         RouteMetric::HopCount,
     ] {
         g.bench_function(metric.label(), |b| {
-            b.iter(|| black_box(sweep(arch.sim(), &steps, 40, 2024, metric).served))
+            b.iter(|| black_box(sweep(arch.sim(), &steps, metric).served()))
         });
     }
     g.finish();

@@ -53,7 +53,7 @@ fn fig7_served_requests(c: &mut Criterion) {
                 SweepSettings::quick(),
                 PerturbationModel::TwoBody,
             );
-            black_box(sweep.final_point().stats.served)
+            black_box(sweep.final_point().stats.served())
         })
     });
     g.finish();

@@ -763,8 +763,8 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
 /// the naive per-step evaluator, and the engine under a standard
 /// intensity-2.0 fault mask — and record the timings in `BENCH_sweep.json`
 /// so future changes have a baseline to regress against. The engine and
-/// naive flag vectors are asserted equal before anything is written
-/// (timing a wrong answer would be worthless).
+/// naive flag vectors must agree before anything is written (timing a
+/// wrong answer would be worthless); a disagreement is an error, exit 1.
 ///
 /// It then times the day's serve on the same constellation — 1M seeded
 /// uniform requests (5000 with `--quick`) through `serve_report` — and
@@ -811,10 +811,11 @@ fn bench(
         .collect();
     let naive_clean_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("naive_clean     {naive_clean_ms:>10.1} ms");
-    assert_eq!(
-        engine_flags, naive_flags,
-        "engine and naive sweeps disagree; refusing to record timings"
-    );
+    if engine_flags != naive_flags {
+        return Err(QntnError::Other(
+            "engine and naive sweeps disagree; refusing to record timings".into(),
+        ));
+    }
 
     let t = Instant::now();
     let faults = Arc::new(FaultModel::standard(42).with_intensity(2.0).compile(sim));

@@ -11,9 +11,10 @@
 //! the published numbers.
 
 use crate::architecture::{AirGround, SpaceGround};
+use crate::experiments::serve_sampled;
 use crate::scenario::Qntn;
 use qntn_net::faults::FaultModel;
-use qntn_net::requests::{sample_steps, RetryPolicy, RetryStats};
+use qntn_net::requests::{aggregate_retry_outcomes, sample_steps, RetryPolicy, RetryStats};
 use qntn_net::{QuantumNetworkSim, SimConfig, SweepEngine};
 use qntn_orbit::PerturbationModel;
 use qntn_routing::RouteMetric;
@@ -159,13 +160,14 @@ impl FaultExperiment {
             .with_faults(faults);
         let coverage = engine.coverage().percent();
         let steps = sample_steps(sim.steps(), self.sampled_steps);
-        let stats = engine.sweep_with_retries(
+        let stats = aggregate_retry_outcomes(&serve_sampled(
+            &engine,
             &steps,
             self.requests_per_step,
             self.seed,
             self.metric,
             self.retry,
-        );
+        ));
         FaultArchPoint {
             coverage_percent: coverage,
             served_percent: stats.served_percent(),
@@ -244,7 +246,7 @@ mod tests {
             PerturbationModel::TwoBody,
         );
         let clean_space = clean.run_space_ground(&arch);
-        assert_eq!(zero.space.stats.served(), clean_space.stats.served);
+        assert_eq!(zero.space.stats.served(), clean_space.stats.served());
         assert_eq!(
             zero.space.mean_fidelity.to_bits(),
             clean_space.mean_fidelity.to_bits(),

@@ -10,8 +10,9 @@
 //! QNTN needs a stricter threshold or purification.
 
 use crate::architecture::{AirGround, SpaceGround};
-use qntn_net::requests::{sample_steps, RequestOutcome, RequestWorkload};
-use qntn_net::QuantumNetworkSim;
+use crate::experiments::serve_sampled;
+use qntn_net::requests::{sample_steps, RetryPolicy};
+use qntn_net::{QuantumNetworkSim, SweepEngine};
 use qntn_quantum::channels::amplitude_damping;
 use qntn_quantum::qkd::bbm92_key_fraction;
 use qntn_quantum::state::bell_phi_plus;
@@ -64,6 +65,14 @@ impl QkdExperiment {
     /// Evaluate a simulator.
     pub fn run(&self, sim: &QuantumNetworkSim) -> QkdReport {
         let steps = sample_steps(sim.steps(), self.sampled_steps);
+        let outcomes = serve_sampled(
+            &SweepEngine::for_steps(sim, &steps),
+            &steps,
+            self.requests_per_step,
+            self.seed,
+            RouteMetric::PaperInverseEta,
+            RetryPolicy::none(),
+        );
         let bell = bell_phi_plus().density();
         let mut report = QkdReport {
             attempted: 0,
@@ -72,22 +81,15 @@ impl QkdExperiment {
             mean_key_fraction: 0.0,
         };
         let mut key_sum = 0.0;
-        for &step in &steps {
-            let workload = RequestWorkload::generate(
-                sim,
-                self.requests_per_step,
-                self.seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            for outcome in workload.evaluate_at(sim, step, RouteMetric::PaperInverseEta) {
-                report.attempted += 1;
-                if let RequestOutcome::Served(d) = outcome {
-                    report.served += 1;
-                    let pair = amplitude_damping(d.eta).on_qubit(1, 2).apply(&bell);
-                    let r = bbm92_key_fraction(&pair);
-                    key_sum += r;
-                    if r > 0.0 {
-                        report.key_capable += 1;
-                    }
+        for outcome in &outcomes {
+            report.attempted += 1;
+            if let Some(d) = outcome.distribution() {
+                report.served += 1;
+                let pair = amplitude_damping(d.eta).on_qubit(1, 2).apply(&bell);
+                let r = bbm92_key_fraction(&pair);
+                key_sum += r;
+                if r > 0.0 {
+                    report.key_capable += 1;
                 }
             }
         }

@@ -1,13 +1,13 @@
 //! `no-panic-bins` — workspace binaries never panic.
 //!
 //! The `reproduce` binary promises a structured exit-code contract
-//! (0/2/3/4/5/6, DESIGN.md §10): every failure path returns a `QntnError`
-//! and maps to a code, so scripts and the nightly crash-resume smoke can
-//! rely on what a nonzero status *means*. A stray `unwrap()` breaks that
-//! promise with an uninformative abort. This rule holds every file under
-//! a `src/bin/` directory — current and future binaries alike — to the
-//! bar the in-source `clippy::unwrap_used` attributes used to set for
-//! `reproduce` alone.
+//! (0–6, DESIGN.md §10): every failure path returns a `QntnError` and
+//! maps to a code, so scripts and the nightly crash-resume smoke can rely
+//! on what a nonzero status *means*. A stray `unwrap()` or `assert_eq!`
+//! breaks that promise with an uninformative exit 101. This rule holds
+//! every file under a `src/bin/` directory — current and future binaries
+//! alike — to the bar the in-source `clippy::unwrap_used` attributes used
+//! to set for `reproduce` alone.
 //!
 //! Deliberate panics (the crash-injection test knob) carry an allow
 //! pragma naming their reason.
@@ -31,6 +31,10 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
         &["panic", "!"],
         &["todo", "!"],
         &["unimplemented", "!"],
+        &["unreachable", "!"],
+        &["assert", "!"],
+        &["assert_eq", "!"],
+        &["assert_ne", "!"],
     ] {
         out.extend(ctx.hits(pattern, ID, MESSAGE));
     }

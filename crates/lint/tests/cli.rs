@@ -142,7 +142,7 @@ fn json_format_is_byte_stable_across_runs() {
     let text = String::from_utf8_lossy(&one.stdout);
     assert!(text.contains("\"tool\": \"qntn-lint\""), "{text}");
     assert!(text.contains("\"rule_count\": 10"), "{text}");
-    assert!(text.contains("\"violation_count\": 30"), "{text}");
+    assert!(text.contains("\"violation_count\": 34"), "{text}");
     assert!(text.contains("\"rule\": \"unit-safety\""), "{text}");
 }
 

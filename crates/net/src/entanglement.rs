@@ -52,19 +52,7 @@ pub fn distribute(
     dst: NodeId,
     metric: RouteMetric,
 ) -> Option<Distribution> {
-    distribute_with(graph, src, dst, metric, &mut SsspTable::default())
-}
-
-/// [`distribute`] with caller-provided routing scratch — the sweep engine's
-/// per-worker reuse path. Identical result, no per-request table allocation.
-pub fn distribute_with(
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    metric: RouteMetric,
-    scratch: &mut SsspTable,
-) -> Option<Distribution> {
-    let route = bellman_ford_into(graph, src, dst, metric, scratch)?;
+    let route = bellman_ford_into(graph, src, dst, metric, &mut SsspTable::default())?;
     // Every hop of a returned route is an edge of `graph` by construction;
     // propagate rather than panic if that ever stops holding.
     let mut link_etas = Vec::with_capacity(route.nodes.len().saturating_sub(1));

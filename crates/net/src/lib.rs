@@ -16,8 +16,10 @@
 //! - [`coverage`] — the coverage period T_c and percentage P (paper
 //!   Eq. 6–7): the fraction of the day during which all three LANs are
 //!   pairwise interconnected.
-//! - [`requests`] — random inter-LAN entanglement request workloads and the
-//!   served-percentage statistic (paper Fig. 7).
+//! - [`requests`] — random inter-LAN entanglement request workloads, the
+//!   retry vocabulary and served-percentage statistics (paper Fig. 7), and
+//!   the naive per-request evaluator. Requests are served in production by
+//!   `qntn-serve`'s group core; this crate builds the graphs they route on.
 //! - [`entanglement`] — end-to-end distribution: route (paper's
 //!   Bellman–Ford), compose the per-link amplitude-damping channels
 //!   (η multiplies), damp one half of `|Φ+⟩`, report fidelity (paper
@@ -54,9 +56,7 @@ pub mod sweep_engine;
 
 pub use capacity::CapacityModel;
 pub use coverage::{CoverageAnalyzer, CoverageReport};
-pub use entanglement::{
-    distribute, distribute_time_expanded, distribute_with, realize_with_hold, Distribution,
-};
+pub use entanglement::{distribute, distribute_time_expanded, realize_with_hold, Distribution};
 pub use faults::{CompiledFaults, FaultModel};
 pub use heralded::{Delivery, HeraldedLink, HeraldedStats};
 pub use host::{Host, HostKind, LanId};
@@ -65,9 +65,7 @@ pub use pipeline::{
     build_time_expanded_into, build_topology, build_topology_into, build_topology_into_with,
     host_hold_factors, Candidate, ContactWindows, LinkMap, Scene, StepCursor,
 };
-pub use requests::{
-    Request, RequestOutcome, RequestWorkload, RetryOutcome, RetryPolicy, RetryStats,
-};
+pub use requests::{Request, RequestWorkload, RetryOutcome, RetryPolicy, RetryStats};
 pub use runtime::{run_steps, ChunkPanicReport, PanicPolicy, RunPolicy, RunReport};
 pub use simulator::QuantumNetworkSim;
 pub use snapshot::{LinkClass, Snapshot};

@@ -28,15 +28,13 @@
 //!
 //! The runtime is generic over the per-step output type `T:`
 //! [`FrameCodec`], so the same machinery drives connectivity-flag sweeps
-//! (`T = bool`), request sweeps (`T = Vec<RequestOutcome>`), and any
-//! future long-running workload.
+//! (`T = bool`), `qntn-serve`'s resilient serve (`T = GroupAgg`, one
+//! fold per arrival group), and any future long-running workload.
 
 // The resilience layer must never itself be a panic source: unwrap/expect
 // are denied outside tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::entanglement::Distribution;
-use crate::requests::RequestOutcome;
 use crate::sweep_engine::{SweepEngine, SweepScratch};
 use qntn_common::codec::{ByteReader, DecodeError, FrameCodec};
 use qntn_common::{frame, QntnError, RunControl, StopCause};
@@ -462,64 +460,6 @@ where
     })
 }
 
-// ---- FrameCodec impls for the sweep output types ----
-
-impl FrameCodec for Distribution {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.path.encode(out);
-        self.eta.encode(out);
-        self.fidelity.encode(out);
-        self.fidelity_jozsa.encode(out);
-        self.mean_link_fidelity.encode(out);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Distribution {
-            path: Vec::<usize>::decode(r)?,
-            eta: f64::decode(r)?,
-            fidelity: f64::decode(r)?,
-            fidelity_jozsa: f64::decode(r)?,
-            mean_link_fidelity: f64::decode(r)?,
-        })
-    }
-}
-
-impl FrameCodec for RequestOutcome {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RequestOutcome::Unserved => out.push(0),
-            RequestOutcome::Served(d) => {
-                out.push(1);
-                d.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(RequestOutcome::Unserved),
-            1 => Ok(RequestOutcome::Served(Distribution::decode(r)?)),
-            other => Err(DecodeError(format!("request outcome tag {other}"))),
-        }
-    }
-}
-
-/// Fingerprint words shared by the engine-level resilient entry points:
-/// host count, step count, threshold bit pattern, and the fault mask
-/// intensity signature (0 when no mask is attached).
-fn engine_fingerprint_words(engine: &SweepEngine<'_>, tag: u64) -> Vec<u64> {
-    let sim = engine.sim();
-    vec![
-        tag,
-        sim.hosts().len() as u64,
-        sim.steps() as u64,
-        sim.evaluator().config().threshold.to_bits(),
-        engine.faults().map_or(0, |f| {
-            frame::fingerprint(&[f.hosts() as u64, f.steps() as u64])
-        }),
-    ]
-}
-
 impl<'a> SweepEngine<'a> {
     /// The full-day connectivity flags ([`SweepEngine::connectivity_flags`])
     /// as a resilient run: checkpointed, cancellable, panic-isolated.
@@ -529,51 +469,22 @@ impl<'a> SweepEngine<'a> {
         &self,
         policy: &RunPolicy,
     ) -> Result<RunReport<bool>, QntnError> {
-        let steps: Vec<usize> = (0..self.sim().steps()).collect();
-        let fingerprint = frame::fingerprint(&engine_fingerprint_words(self, 0x666c_6167)); // "flag"
+        let sim = self.sim();
+        let steps: Vec<usize> = (0..sim.steps()).collect();
+        // Host count, step count, threshold bits and the fault mask's
+        // shape (0 when no mask is attached).
+        let fingerprint = frame::fingerprint(&[
+            0x666c_6167, // "flag"
+            sim.hosts().len() as u64,
+            sim.steps() as u64,
+            sim.evaluator().config().threshold.to_bits(),
+            self.faults().map_or(0, |f| {
+                frame::fingerprint(&[f.hosts() as u64, f.steps() as u64])
+            }),
+        ]);
         run_steps(self, &steps, fingerprint, policy, |scratch, step| {
             self.active_graph_into(step, scratch);
-            self.sim().lans_interconnected(&scratch.active)
-        })
-    }
-
-    /// The request sweep ([`SweepEngine::sweep`]) as a resilient run over
-    /// per-step outcome vectors. Aggregate the clean outputs with
-    /// [`crate::requests::aggregate_outcomes`] to recover the exact
-    /// [`crate::requests::SweepStats`] of the uninterrupted sweep.
-    pub fn sweep_resilient(
-        &self,
-        steps: &[usize],
-        requests_per_step: usize,
-        seed: u64,
-        metric: qntn_routing::RouteMetric,
-        policy: &RunPolicy,
-    ) -> Result<RunReport<Vec<RequestOutcome>>, QntnError> {
-        use crate::entanglement::distribute_with;
-        use crate::requests::RequestWorkload;
-        let mut words = engine_fingerprint_words(self, 0x7265_7173); // "reqs"
-        words.push(requests_per_step as u64);
-        words.push(seed);
-        words.push(metric as u64);
-        let fingerprint = frame::fingerprint(&words);
-        run_steps(self, steps, fingerprint, policy, |scratch, step| {
-            let workload = RequestWorkload::generate(
-                self.sim(),
-                requests_per_step,
-                seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            self.active_graph_into(step, scratch);
-            let SweepScratch { active, sssp, .. } = scratch;
-            workload
-                .requests
-                .iter()
-                .map(
-                    |r| match distribute_with(active, r.src, r.dst, metric, sssp) {
-                        Some(d) => RequestOutcome::Served(d),
-                        None => RequestOutcome::Unserved,
-                    },
-                )
-                .collect()
+            sim.lans_interconnected(&scratch.active)
         })
     }
 }
@@ -584,7 +495,7 @@ mod tests {
     use crate::host::Host;
     use crate::linkeval::SimConfig;
     use crate::simulator::QuantumNetworkSim;
-    use qntn_common::{codec, CancelToken};
+    use qntn_common::CancelToken;
     use qntn_geo::Geodetic;
     use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -746,45 +657,6 @@ mod tests {
         assert_eq!(reports[0].step_range, (11, 12));
         assert_eq!(reports[0].payload, "a");
         assert_eq!(reports[1].step_range, (14, 14));
-    }
-
-    #[test]
-    fn request_outcomes_round_trip_bit_exactly() {
-        let outcomes = vec![
-            RequestOutcome::Unserved,
-            RequestOutcome::Served(Distribution {
-                path: vec![0, 3, 2],
-                eta: 0.731,
-                fidelity: 0.967,
-                fidelity_jozsa: 0.935,
-                mean_link_fidelity: 0.981,
-            }),
-        ];
-        let bytes = codec::encode_to_vec(&outcomes);
-        let back: Vec<RequestOutcome> = codec::decode_all(&bytes).unwrap();
-        assert_eq!(back, outcomes);
-        if let (RequestOutcome::Served(a), RequestOutcome::Served(b)) = (&outcomes[1], &back[1]) {
-            assert_eq!(a.eta.to_bits(), b.eta.to_bits());
-            assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits());
-        }
-    }
-
-    #[test]
-    fn resilient_request_sweep_recovers_the_plain_stats() {
-        use crate::requests::aggregate_outcomes;
-        use qntn_routing::RouteMetric;
-        let sim = hap_sim(20);
-        let engine = SweepEngine::new(&sim);
-        let steps: Vec<usize> = (0..20).step_by(3).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        let report = engine
-            .sweep_resilient(&steps, 10, 2024, metric, &RunPolicy::default())
-            .unwrap();
-        let per_step = report.into_clean_outputs().unwrap();
-        assert_eq!(
-            aggregate_outcomes(&per_step),
-            engine.sweep(&steps, 10, 2024, metric)
-        );
     }
 
     #[test]

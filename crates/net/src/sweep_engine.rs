@@ -4,8 +4,10 @@
 //! of the thresholded link graph at up to 2880 time steps. The naive loop
 //! re-evaluates every host pair at every step — O(N²) full FSO budgets per
 //! step, although a 500 km satellite is above a Tennessee site's horizon
-//! only a few percent of the day. [`SweepEngine`] removes that waste in
-//! three layers:
+//! only a few percent of the day. The engine builds those graphs and maps
+//! work over steps; it serves no requests itself — `qntn-serve`'s group
+//! core routes every request over the graphs it builds. [`SweepEngine`]
+//! removes the waste in four layers:
 //!
 //! 1. **Contact-window pruning** ([`ContactWindows`]): per (ground,
 //!    satellite) pair, the zero-elevation-mask visibility windows are
@@ -45,19 +47,14 @@
 //! adjacency lists) are kept as regression.
 
 use crate::coverage::{CoverageAnalyzer, CoverageReport};
-use crate::entanglement::distribute_with;
 use crate::faults::CompiledFaults;
 use crate::pipeline::{
     build_time_expanded_into, build_topology_into, build_topology_into_with, LinkMap, Scene,
     StepCursor,
 };
-use crate::requests::{
-    aggregate_outcomes, aggregate_retry_outcomes, RequestOutcome, RequestWorkload, RetryOutcome,
-    RetryPolicy, RetryStats, SweepStats,
-};
 use crate::simulator::QuantumNetworkSim;
 use qntn_common::{QntnError, StepId};
-use qntn_routing::{Graph, RouteMetric, SsspTable, TimeExpandedGraph, TimeTable};
+use qntn_routing::{Graph, SsspTable, TimeExpandedGraph, TimeTable};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -71,7 +68,7 @@ pub struct SweepScratch {
     pub full: Graph,
     /// The thresholded graph of the last [`SweepEngine::active_graph_into`].
     pub active: Graph,
-    /// Routing scratch for [`distribute_with`].
+    /// Single-source routing scratch for the per-step serving router.
     pub sssp: SsspTable,
     /// Incremental-topology state: the visible candidate set carried from
     /// step to step (plus the batched-η scratch). Self-seeding — a fresh
@@ -333,103 +330,6 @@ impl<'a> SweepEngine<'a> {
     pub fn coverage(&self) -> CoverageReport {
         CoverageAnalyzer::from_flags(self.connectivity_flags(), self.sim.step_s())
     }
-
-    /// The paper's request sweep: per step, a seeded workload of
-    /// `requests_per_step` inter-LAN requests attempted on that step's
-    /// thresholded graph. Identical statistics to the naive
-    /// [`crate::requests`] path (which now delegates here).
-    pub fn sweep(
-        &self,
-        steps: &[usize],
-        requests_per_step: usize,
-        seed: u64,
-        metric: RouteMetric,
-    ) -> SweepStats {
-        let per_step: Vec<Vec<RequestOutcome>> = self.map_steps(steps, |scratch, step| {
-            let workload = RequestWorkload::generate(
-                self.sim,
-                requests_per_step,
-                seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            self.active_graph_into(step, scratch);
-            let SweepScratch { active, sssp, .. } = scratch;
-            workload
-                .requests
-                .iter()
-                .map(
-                    |r| match distribute_with(active, r.src, r.dst, metric, sssp) {
-                        Some(d) => RequestOutcome::Served(d),
-                        None => RequestOutcome::Unserved,
-                    },
-                )
-                .collect()
-        });
-        aggregate_outcomes(&per_step)
-    }
-
-    /// The request sweep with retry-with-backoff semantics: per arrival
-    /// step, the seeded workload is attempted on the arrival graph, and
-    /// blocked requests are re-attempted at `policy`'s backoff steps (still
-    /// within the day) until they are served or expire. With a fault mask
-    /// attached, every attempt sees the masked graph; outcomes are
-    /// identical to the naive
-    /// [`RequestWorkload::evaluate_with_retries`] loop, request by request.
-    ///
-    /// Note retries look *forward in time* from each arrival: arrival steps
-    /// near the end of the day get truncated schedules, exactly as the
-    /// naive path truncates them.
-    pub fn sweep_with_retries(
-        &self,
-        steps: &[usize],
-        requests_per_step: usize,
-        seed: u64,
-        metric: RouteMetric,
-        policy: RetryPolicy,
-    ) -> RetryStats {
-        let per_step: Vec<Vec<RetryOutcome>> = self.map_steps(steps, |scratch, arrival| {
-            let workload = RequestWorkload::generate(
-                self.sim,
-                requests_per_step,
-                seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            let schedule = policy.attempt_steps(arrival, self.sim.steps());
-            let mut outcomes: Vec<Option<RetryOutcome>> = vec![None; workload.requests.len()];
-            let mut pending = workload.requests.len();
-            for (k, &t) in schedule.iter().enumerate() {
-                if pending == 0 {
-                    break;
-                }
-                self.active_graph_into(t, scratch);
-                let SweepScratch { active, sssp, .. } = scratch;
-                for (r, slot) in workload.requests.iter().zip(outcomes.iter_mut()) {
-                    if slot.is_some() {
-                        continue;
-                    }
-                    if let Some(d) = distribute_with(active, r.src, r.dst, metric, sssp) {
-                        *slot = Some(if k == 0 {
-                            RetryOutcome::ServedFirstTry(d)
-                        } else {
-                            RetryOutcome::ServedAfterRetry {
-                                distribution: d,
-                                attempts: k + 1,
-                                waited_steps: t - arrival,
-                            }
-                        });
-                        pending -= 1;
-                    }
-                }
-            }
-            outcomes
-                .into_iter()
-                .map(|o| {
-                    o.unwrap_or(RetryOutcome::Expired {
-                        attempts: schedule.len(),
-                    })
-                })
-                .collect()
-        });
-        aggregate_retry_outcomes(&per_step)
-    }
 }
 
 #[cfg(test)]
@@ -551,40 +451,10 @@ mod tests {
         let par = SweepEngine::new(&sim);
         let seq = SweepEngine::new(&sim).with_parallel(false);
         assert_eq!(par.connectivity_flags(), seq.connectivity_flags());
-        let steps: Vec<usize> = (0..120).step_by(13).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        assert_eq!(
-            par.sweep(&steps, 15, 2024, metric),
-            seq.sweep(&steps, 15, 2024, metric)
-        );
         let cov_par = par.coverage();
         let cov_seq = seq.coverage();
         assert_eq!(cov_par.connected, cov_seq.connected);
         assert_eq!(cov_par.intervals, cov_seq.intervals);
-    }
-
-    #[test]
-    fn engine_sweep_matches_naive_request_loop() {
-        let sim = sat_sim(6, 120);
-        let engine = SweepEngine::new(&sim);
-        let steps: Vec<usize> = (0..120).step_by(17).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        let seed = 99;
-        let naive: Vec<Vec<RequestOutcome>> = steps
-            .iter()
-            .map(|&step| {
-                let w = RequestWorkload::generate(
-                    &sim,
-                    10,
-                    seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                w.evaluate_at(&sim, step, metric)
-            })
-            .collect();
-        assert_eq!(
-            engine.sweep(&steps, 10, seed, metric),
-            aggregate_outcomes(&naive)
-        );
     }
 
     #[test]
@@ -702,84 +572,6 @@ mod tests {
             );
         }
         assert_eq!(clean.connectivity_flags(), masked.connectivity_flags());
-        let steps: Vec<usize> = (0..120).step_by(13).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        assert_eq!(
-            clean.sweep(&steps, 10, 2024, metric),
-            masked.sweep(&steps, 10, 2024, metric)
-        );
-        assert_eq!(
-            clean.sweep_with_retries(&steps, 10, 2024, metric, RetryPolicy::standard()),
-            masked.sweep_with_retries(&steps, 10, 2024, metric, RetryPolicy::standard())
-        );
-    }
-
-    #[test]
-    fn retry_sweep_matches_the_naive_retry_loop() {
-        use crate::faults::FaultModel;
-        let sim = sat_sim(6, 120);
-        let faults = Arc::new(FaultModel::standard(777).with_intensity(3.0).compile(&sim));
-        let engine = SweepEngine::new(&sim).with_faults(faults.clone());
-        let steps: Vec<usize> = (0..120).step_by(17).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        let (seed, policy) = (99, RetryPolicy::standard());
-        let naive: Vec<Vec<RetryOutcome>> = steps
-            .iter()
-            .map(|&arrival| {
-                let w = RequestWorkload::generate(
-                    &sim,
-                    10,
-                    seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                w.evaluate_with_retries(&sim, arrival, metric, policy, &faults)
-            })
-            .collect();
-        assert_eq!(
-            engine.sweep_with_retries(&steps, 10, seed, metric, policy),
-            aggregate_retry_outcomes(&naive)
-        );
-    }
-
-    #[test]
-    fn retry_sweep_is_parallel_sequential_identical() {
-        use crate::faults::FaultModel;
-        let sim = sat_sim(6, 120);
-        let faults = Arc::new(FaultModel::standard(5).with_intensity(2.0).compile(&sim));
-        let par = SweepEngine::new(&sim).with_faults(faults.clone());
-        let seq = SweepEngine::new(&sim)
-            .with_faults(faults)
-            .with_parallel(false);
-        let steps: Vec<usize> = (0..120).step_by(13).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        assert_eq!(
-            par.sweep_with_retries(&steps, 12, 2024, metric, RetryPolicy::standard()),
-            seq.sweep_with_retries(&steps, 12, 2024, metric, RetryPolicy::standard())
-        );
-        assert_eq!(par.connectivity_flags(), seq.connectivity_flags());
-    }
-
-    #[test]
-    fn served_requests_are_monotone_in_fault_intensity() {
-        use crate::faults::FaultModel;
-        let sim = sat_sim(6, 120);
-        let steps: Vec<usize> = (0..120).step_by(7).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        let mut prev_served = usize::MAX;
-        for intensity in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0] {
-            let faults = Arc::new(
-                FaultModel::standard(42)
-                    .with_intensity(intensity)
-                    .compile(&sim),
-            );
-            let engine = SweepEngine::new(&sim).with_faults(faults);
-            let stats = engine.sweep(&steps, 15, 2024, metric);
-            assert!(
-                stats.served <= prev_served,
-                "served went up with intensity {intensity}: {} > {prev_served}",
-                stats.served
-            );
-            prev_served = stats.served;
-        }
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! differential tests keep comparing two different routers.
 //!
 //! The bucket router is shared with [`crate::overload::serve_overload`]'s
-//! sequential agenda, the only other serving loop.
+//! sequential agenda, the only other serving loop. The paper's sampled-step
+//! experiment (`qntn_core::experiments::serve_sampled`: Fig. 7/8, Table III,
+//! the fault ladder) is served here through [`serve_full`].
 //!
 //! Three entry points share the group core:
 //! - [`serve_full`] materializes every [`RetryOutcome`] (differential
@@ -124,7 +126,7 @@ impl Router<'_> {
             Router::PerStep => {
                 let graph = &scratch.active;
                 let route = route_from_table(graph, &scratch.sssp, src, dst, metric)?;
-                // Same link-η collection as `distribute_with`: a lookup
+                // Same link-η collection as `distribute`: a lookup
                 // miss means a corrupt table, treated as unroutable.
                 let mut link_etas = Vec::with_capacity(route.nodes.len().saturating_sub(1));
                 for w in route.nodes.windows(2) {

@@ -128,27 +128,33 @@ fn naive_reference(
 #[test]
 fn serve_full_is_bit_identical_to_the_naive_reference() {
     let queue = queue_from(WorkloadKind::Uniform, 150, 11);
-    let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
     let clean = CompiledFaults::identity(sim().hosts().len(), sim().steps());
     let engine = SweepEngine::new(sim());
-    assert_eq!(
-        serve_full(&engine, &queue, policy, metric),
-        naive_reference(&queue, policy, metric, &clean)
-    );
+    // `none()` is the paper's single attempt, the policy the sampled-step
+    // experiments serve under.
+    for policy in [RetryPolicy::standard(), RetryPolicy::none()] {
+        assert_eq!(
+            serve_full(&engine, &queue, policy, metric),
+            naive_reference(&queue, policy, metric, &clean),
+            "{policy:?}"
+        );
+    }
 }
 
 #[test]
 fn serve_full_matches_naive_under_faults() {
     let queue = queue_from(WorkloadKind::Poisson, 120, 23);
-    let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
     let faults = Arc::new(FaultModel::standard(7).with_intensity(2.5).compile(sim()));
     let engine = SweepEngine::new(sim()).with_faults(faults.clone());
-    assert_eq!(
-        serve_full(&engine, &queue, policy, metric),
-        naive_reference(&queue, policy, metric, &faults)
-    );
+    for policy in [RetryPolicy::standard(), RetryPolicy::none()] {
+        assert_eq!(
+            serve_full(&engine, &queue, policy, metric),
+            naive_reference(&queue, policy, metric, &faults),
+            "{policy:?}"
+        );
+    }
 }
 
 #[test]

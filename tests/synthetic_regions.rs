@@ -9,6 +9,7 @@
 //! nightly CI job sets `PROPTEST_CASES=2048` to deepen every block.
 
 use proptest::prelude::*;
+use qntn::core::experiments::serve_sampled;
 use qntn::core::scenario::SyntheticRegion;
 use qntn::geo::{haversine_m, Epoch, Geodetic, WGS84};
 use qntn::net::faults::FaultModel;
@@ -264,22 +265,27 @@ proptest! {
             }
         }
         let arrivals: Vec<usize> = (0..steps_total).step_by(13).collect();
-        let policy = RetryPolicy::standard();
-        let naive: Vec<Vec<RetryOutcome>> = arrivals
-            .iter()
-            .map(|&arrival| {
-                let w = RequestWorkload::generate(
-                    &sim,
-                    8,
-                    workload_seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                w.evaluate_with_retries(&sim, arrival, metric, policy, &faults)
-            })
-            .collect();
-        prop_assert_eq!(
-            engine.sweep_with_retries(&arrivals, 8, workload_seed, metric, policy),
-            aggregate_retry_outcomes(&naive)
-        );
+        // `none()` is the paper's single attempt (Fig. 7/8, Table III).
+        for policy in [RetryPolicy::standard(), RetryPolicy::none()] {
+            let naive: Vec<Vec<RetryOutcome>> = arrivals
+                .iter()
+                .map(|&arrival| {
+                    let w = RequestWorkload::generate(
+                        &sim,
+                        8,
+                        workload_seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    );
+                    w.evaluate_with_retries(&sim, arrival, metric, policy, &faults)
+                })
+                .collect();
+            let served = serve_sampled(&engine, &arrivals, 8, workload_seed, metric, policy);
+            let naive = naive.concat();
+            prop_assert_eq!(
+                aggregate_retry_outcomes(&served),
+                aggregate_retry_outcomes(&naive)
+            );
+            prop_assert_eq!(served, naive);
+        }
     }
 
     /// (a′) Arbitrary arrival steps — including ones at or past the end of
@@ -327,10 +333,10 @@ proptest! {
                     .with_intensity(intensity)
                     .compile(&sim),
             );
-            SweepEngine::new(&sim)
-                .with_faults(faults)
-                .sweep(&arrivals, 10, 2024, metric)
-                .served
+            let engine = SweepEngine::new(&sim).with_faults(faults);
+            let outcomes =
+                serve_sampled(&engine, &arrivals, 10, 2024, metric, RetryPolicy::none());
+            aggregate_retry_outcomes(&outcomes).served()
         };
         let (low, high) = (served(lo), served(lo + delta));
         prop_assert!(
@@ -372,9 +378,10 @@ proptest! {
         }
         let arrivals: Vec<usize> = (0..60).step_by(8).collect();
         let metric = RouteMetric::PaperInverseEta;
+        let policy = RetryPolicy::none();
         prop_assert_eq!(
-            clean.sweep(&arrivals, 10, workload_seed, metric),
-            masked.sweep(&arrivals, 10, workload_seed, metric),
+            aggregate_retry_outcomes(&serve_sampled(&clean, &arrivals, 10, workload_seed, metric, policy)),
+            aggregate_retry_outcomes(&serve_sampled(&masked, &arrivals, 10, workload_seed, metric, policy)),
             "identity mask moved the sweep statistics"
         );
     }

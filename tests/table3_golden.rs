@@ -23,8 +23,10 @@
 
 use qntn::core::architecture::{AirGround, SpaceGround};
 use qntn::core::experiments::fidelity::{ArchReport, FidelityExperiment};
+use qntn::core::experiments::serve_sampled;
 use qntn::core::scenario::Qntn;
 use qntn::net::faults::FaultModel;
+use qntn::net::requests::{aggregate_retry_outcomes, RetryPolicy};
 use qntn::net::{SimConfig, SweepEngine};
 use qntn::orbit::PerturbationModel;
 use std::sync::Arc;
@@ -170,9 +172,13 @@ fn zero_intensity_faults_leave_the_quick_goldens_byte_identical() {
         }
         let steps: Vec<usize> = (0..sim.steps()).step_by(144).collect();
         let metric = qntn::routing::RouteMetric::PaperInverseEta;
+        let stats = |engine: &SweepEngine<'_>| {
+            let outcomes = serve_sampled(engine, &steps, 25, 2024, metric, RetryPolicy::none());
+            aggregate_retry_outcomes(&outcomes)
+        };
         assert_eq!(
-            clean.sweep(&steps, 25, 2024, metric),
-            masked.sweep(&steps, 25, 2024, metric),
+            stats(&clean),
+            stats(&masked),
             "{name}: sweep stats must not move under an identity mask"
         );
     }
