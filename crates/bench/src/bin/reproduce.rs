@@ -110,7 +110,7 @@ artifacts:
 
 flags:
   --quick       reduced workloads (smoke test); default is the paper's sizes
-  --no-parallel run the daily sweeps on the sequential engine path
+  --no-parallel run every stage on one thread
                 (bit-identical results; for debugging / single-core runs)
   --help        this text
 
@@ -250,6 +250,8 @@ impl Default for ServeOpts {
 struct Cli {
     artifact: String,
     quick: bool,
+    /// `false` under `--no-parallel`: `main` then runs the dispatch in a
+    /// one-thread pool. Artifacts only report it.
     parallel: bool,
     /// Extra constellation sizes for `bench` (the `--scale` flag, repeatable).
     scales: Vec<usize>,
@@ -366,7 +368,15 @@ fn main() {
         }
     };
     install_sigint_handler();
-    match run(&cli) {
+    // Parallelism is the thread pool's: `--no-parallel` runs the whole
+    // dispatch in a one-thread pool, so every stage (nested ones and
+    // window precomputes included) stays on this thread.
+    let outcome = rayon::ThreadPoolBuilder::new()
+        .num_threads(if cli.parallel { 0 } else { 1 })
+        .build()
+        .map_err(|e| QntnError::Other(format!("thread pool: {e}")))
+        .and_then(|pool| pool.install(|| run(&cli)));
+    match outcome {
         Ok(Exit::Success) => {}
         Ok(Exit::Interrupted) => std::process::exit(5),
         Err(e) => {
@@ -379,7 +389,7 @@ fn main() {
 fn run(cli: &Cli) -> Result<Exit, QntnError> {
     let scenario = Qntn::standard();
     let config = SimConfig::default();
-    let (artifact, quick, parallel) = (cli.artifact.as_str(), cli.quick, cli.parallel);
+    let (artifact, quick) = (cli.artifact.as_str(), cli.quick);
 
     let wants = |name: &str| artifact == "all" || artifact == name;
 
@@ -399,10 +409,10 @@ fn run(cli: &Cli) -> Result<Exit, QntnError> {
         topology(&scenario, &config);
     }
     if wants("fig6") {
-        fig6(&scenario, config, quick, parallel);
+        fig6(&scenario, config, quick);
     }
     if wants("fig7") || wants("fig8") {
-        fig78(&scenario, config, quick, parallel, artifact);
+        fig78(&scenario, config, quick, artifact);
     }
     if wants("table3") {
         table3(&scenario, config, quick);
@@ -411,7 +421,7 @@ fn run(cli: &Cli) -> Result<Exit, QntnError> {
         extensions(&scenario, config, quick);
     }
     if wants("faults") {
-        faults(&scenario, config, quick, parallel);
+        faults(&scenario, config, quick);
     }
     if wants("timeexp") {
         timeexp(&scenario, config, cli)?;
@@ -426,10 +436,10 @@ fn run(cli: &Cli) -> Result<Exit, QntnError> {
         return serve(&scenario, config, cli);
     }
     if artifact == "bench" {
-        bench(&scenario, config, quick, parallel, &cli.scales)?;
+        bench(&scenario, config, cli)?;
     }
     if artifact == "export" {
-        export(&scenario, config, quick, parallel)?;
+        export(&scenario, config, quick)?;
     }
     Ok(Exit::Success)
 }
@@ -465,7 +475,7 @@ fn sweep(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
     // the budget; a stop here has no partial result worth keeping.
     let setup = with_deadline(RunControl::unlimited().with_cancel(sigint.clone()));
     let engine = match SweepEngine::try_new(sim, &setup) {
-        Ok(engine) => engine.with_parallel(cli.parallel),
+        Ok(engine) => engine,
         Err(cause) => {
             println!("interrupted during window precompute ({cause}); nothing written");
             return Ok(Exit::Interrupted);
@@ -636,7 +646,7 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
 
     let setup = with_deadline(RunControl::unlimited().with_cancel(sigint.clone()));
     let engine = match SweepEngine::try_new(sim, &setup) {
-        Ok(engine) => engine.with_parallel(cli.parallel),
+        Ok(engine) => engine,
         Err(cause) => {
             println!("interrupted during window precompute ({cause}); nothing written");
             return Ok(Exit::Interrupted);
@@ -781,16 +791,11 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
 /// engine vs naive is pinned by `tests/pipeline_goldens.rs` instead).
 /// The per-scale timings land in the `"scales"` array of the JSON, which
 /// `perf_gate` compares run-over-run in CI.
-fn bench(
-    scenario: &Qntn,
-    config: SimConfig,
-    quick: bool,
-    parallel: bool,
-    scales: &[usize],
-) -> Result<(), QntnError> {
+fn bench(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<(), QntnError> {
     use std::sync::Arc;
     use std::time::Instant;
 
+    let (quick, parallel) = (cli.quick, cli.parallel);
     let n_sats = if quick { 12 } else { 108 };
     let arch = SpaceGround::new(scenario, n_sats, config, PerturbationModel::TwoBody);
     let sim = arch.sim();
@@ -800,7 +805,7 @@ fn bench(
     );
 
     let t = Instant::now();
-    let engine = SweepEngine::new(sim).with_parallel(parallel);
+    let engine = SweepEngine::new(sim);
     let engine_flags = engine.connectivity_flags();
     let engine_clean_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("engine_clean    {engine_clean_ms:>10.1} ms");
@@ -819,15 +824,13 @@ fn bench(
 
     let t = Instant::now();
     let faults = Arc::new(FaultModel::standard(42).with_intensity(2.0).compile(sim));
-    let faulted = SweepEngine::new(sim)
-        .with_parallel(parallel)
-        .with_faults(faults);
+    let faulted = SweepEngine::new(sim).with_faults(faults);
     let _ = faulted.connectivity_flags();
     let engine_faulted_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("engine_faulted  {engine_faulted_ms:>10.1} ms (incl. mask compile)");
 
     let mut scale_entries = String::new();
-    for &n in scales {
+    for &n in &cli.scales {
         let t = Instant::now();
         let epoch = default_epoch();
         let props: Vec<Propagator> = scaled_shell(n)
@@ -847,7 +850,7 @@ fn bench(
         let setup_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
-        let engine = SweepEngine::new(shell.sim()).with_parallel(parallel);
+        let engine = SweepEngine::new(shell.sim());
         let flags = engine.connectivity_flags();
         let scale_clean_ms = t.elapsed().as_secs_f64() * 1e3;
         let connected = flags.iter().filter(|&&c| c).count();
@@ -878,7 +881,7 @@ fn bench(
     let (kind, seed) = (WorkloadKind::Uniform, 2024);
     let n_requests = if quick { 5_000 } else { 1_000_000 };
     let t = Instant::now();
-    let engine = SweepEngine::new(sim).with_parallel(parallel);
+    let engine = SweepEngine::new(sim);
     let setup_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
     let stream = generate(sim, kind, n_requests, seed);
@@ -910,12 +913,7 @@ fn bench(
     Ok(())
 }
 
-fn export(
-    scenario: &Qntn,
-    config: SimConfig,
-    quick: bool,
-    parallel: bool,
-) -> Result<(), QntnError> {
+fn export(scenario: &Qntn, config: SimConfig, quick: bool) -> Result<(), QntnError> {
     use qntn_core::report;
     let dir = Path::new("out");
     std::fs::create_dir_all(dir).map_err(|e| QntnError::io("create_dir", dir, &e))?;
@@ -928,50 +926,21 @@ fn export(
 
     write("fig5.csv", report::fig5_csv(&FidelityCurve::paper()))?;
 
-    let sizes = if quick {
-        vec![6, 36, 108]
-    } else {
-        paper_constellation_sizes()
-    };
-    let cov = CoverageSweep::run_with_options(
-        scenario,
-        config,
-        &sizes,
-        PerturbationModel::TwoBody,
-        parallel,
-    );
+    let sizes = constellation_sizes(quick);
+    let cov = CoverageSweep::run(scenario, config, &sizes, PerturbationModel::TwoBody);
     write("fig6.csv", report::fig6_csv(&cov))?;
 
-    let settings = if quick {
-        SweepSettings {
-            sampled_steps: 20,
-            requests_per_step: 25,
-            ..SweepSettings::paper()
-        }
-    } else {
-        SweepSettings::paper()
-    };
-    let sweep = ConstellationSweep::run_with_options(
+    let sweep = ConstellationSweep::run(
         scenario,
         config,
         &sizes,
-        settings,
+        sweep_settings(quick),
         PerturbationModel::TwoBody,
-        parallel,
     );
     write("fig7_fig8.csv", report::sweep_csv(&sweep))?;
 
-    let experiment = if quick {
-        FidelityExperiment {
-            sampled_steps: 20,
-            requests_per_step: 25,
-            ..FidelityExperiment::paper()
-        }
-    } else {
-        FidelityExperiment::paper()
-    };
     let largest = sizes.last().copied().unwrap_or(108);
-    let cmp = ComparisonReport::run(scenario, config, largest, experiment);
+    let cmp = ComparisonReport::run(scenario, config, largest, table3_experiment(quick));
     write("table3.txt", report::table3(&cmp))?;
 
     let air = AirGround::new(scenario, config);
@@ -992,7 +961,7 @@ fn export(
     } else {
         FaultExperiment::standard()
     };
-    let faults = fault_exp.run_with_options(scenario, config, parallel);
+    let faults = fault_exp.run(scenario, config);
     write("faults.csv", report::faults_csv(&faults))?;
 
     // One satellite movement sheet, as the paper's STK workflow produced.
@@ -1102,35 +1071,19 @@ fn topology(scenario: &Qntn, config: &SimConfig) {
     print!("{}", Snapshot::take(space.sim(), 0).render());
 }
 
-fn fig6(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool) {
-    banner("Fig. 6 — coverage % vs number of satellites");
-    let sizes = if quick {
+/// The constellation sizes of Figs. 6–8: three for `--quick`, the paper's
+/// ladder otherwise.
+fn constellation_sizes(quick: bool) -> Vec<usize> {
+    if quick {
         vec![6, 36, 108]
     } else {
         paper_constellation_sizes()
-    };
-    let sweep = CoverageSweep::run_with_options(
-        scenario,
-        config,
-        &sizes,
-        PerturbationModel::TwoBody,
-        parallel,
-    );
-    print!("{}", report::fig6_table(&sweep));
-    println!(
-        "# paper: 108 satellites -> 55.17% coverage; measured: {:.2}%",
-        sweep.final_point().coverage_percent
-    );
+    }
 }
 
-fn fig78(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool, artifact: &str) {
-    banner("Fig. 7/8 — served requests and fidelity vs number of satellites");
-    let sizes = if quick {
-        vec![6, 36, 108]
-    } else {
-        paper_constellation_sizes()
-    };
-    let settings = if quick {
+/// The Fig. 7/8 request sweep's settings.
+fn sweep_settings(quick: bool) -> SweepSettings {
+    if quick {
         SweepSettings {
             sampled_steps: 20,
             requests_per_step: 25,
@@ -1138,14 +1091,41 @@ fn fig78(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool, artifa
         }
     } else {
         SweepSettings::paper()
-    };
-    let sweep = ConstellationSweep::run_with_options(
+    }
+}
+
+/// The Table III comparison's per-architecture experiment.
+fn table3_experiment(quick: bool) -> FidelityExperiment {
+    if quick {
+        FidelityExperiment {
+            sampled_steps: 20,
+            requests_per_step: 25,
+            ..FidelityExperiment::paper()
+        }
+    } else {
+        FidelityExperiment::paper()
+    }
+}
+
+fn fig6(scenario: &Qntn, config: SimConfig, quick: bool) {
+    banner("Fig. 6 — coverage % vs number of satellites");
+    let sizes = constellation_sizes(quick);
+    let sweep = CoverageSweep::run(scenario, config, &sizes, PerturbationModel::TwoBody);
+    print!("{}", report::fig6_table(&sweep));
+    println!(
+        "# paper: 108 satellites -> 55.17% coverage; measured: {:.2}%",
+        sweep.final_point().coverage_percent
+    );
+}
+
+fn fig78(scenario: &Qntn, config: SimConfig, quick: bool, artifact: &str) {
+    banner("Fig. 7/8 — served requests and fidelity vs number of satellites");
+    let sweep = ConstellationSweep::run(
         scenario,
         config,
-        &sizes,
-        settings,
+        &constellation_sizes(quick),
+        sweep_settings(quick),
         PerturbationModel::TwoBody,
-        parallel,
     );
     print!("{}", report::sweep_table(&sweep));
     let served = ServedSeries::from_sweep(&sweep);
@@ -1383,28 +1363,19 @@ fn extensions(scenario: &Qntn, _config: SimConfig, quick: bool) {
 
 fn table3(scenario: &Qntn, config: SimConfig, quick: bool) {
     banner("Table III — architecture comparison");
-    let experiment = if quick {
-        FidelityExperiment {
-            sampled_steps: 20,
-            requests_per_step: 25,
-            ..FidelityExperiment::paper()
-        }
-    } else {
-        FidelityExperiment::paper()
-    };
-    let r = ComparisonReport::run(scenario, config, 108, experiment);
+    let r = ComparisonReport::run(scenario, config, 108, table3_experiment(quick));
     print!("{}", report::table3(&r));
     println!("# paper: space 55.17%/57.75%/0.96, air 100%/100%/0.98");
 }
 
-fn faults(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool) {
+fn faults(scenario: &Qntn, config: SimConfig, quick: bool) {
     banner("Fault injection — degradation vs intensity (seeded, deterministic)");
     let experiment = if quick {
         FaultExperiment::quick()
     } else {
         FaultExperiment::standard()
     };
-    let sweep = experiment.run_with_options(scenario, config, parallel);
+    let sweep = experiment.run(scenario, config);
     print!("{}", report::faults_table(&sweep));
     println!("# intensity 0 = the paper's ideal-conditions assumption (bit-identical to table3);");
     println!(
@@ -1429,7 +1400,7 @@ fn timeexp(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<(), QntnErro
     } else {
         TimeexpExperiment::standard()
     };
-    let sweep = experiment.run_with_options(scenario, config, cli.parallel);
+    let sweep = experiment.run(scenario, config);
     print!("{}", report::timeexp_table(&sweep));
     println!(
         "# {} {} requests, fidelity floor {:.2}; rescued_% counts retry- and memory-saved requests",

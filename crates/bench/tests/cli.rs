@@ -1,7 +1,8 @@
 //! CLI contract tests for the `reproduce` binary: argument validation
 //! (unknown artifacts and flags are rejected with the usage text and exit
-//! code 2), the `--no-parallel` escape hatch (byte-identical `fig7`,
-//! `table3` and `faults` output), the `faults` artifact, and
+//! code 2), the `--no-parallel` one-thread pool (byte-identical `fig6`,
+//! `fig7`, `table3`, `faults` and `extensions` output), the `faults`
+//! artifact, and
 //! the resilient `sweep`/`serve` artifacts' exit-code contract —
 //! interrupt (5), resume to a bit-identical CSV (0), corrupt checkpoint
 //! (4), chunk panic under fail-fast (6) and under `--quarantine` (0 with
@@ -93,11 +94,11 @@ fn no_parallel_flag_is_accepted() {
     assert!(stdout.contains("Table I"), "{stdout}");
 }
 
-/// The request-serving artifacts print the same bytes on the sequential
-/// engine path as on the parallel one.
+/// The sweep and request-serving artifacts print the same bytes with
+/// every stage on one thread as at the default width.
 #[test]
 fn no_parallel_serving_artifacts_are_byte_identical() {
-    for artifact in ["fig7", "table3", "faults"] {
+    for artifact in ["fig6", "fig7", "table3", "faults", "extensions"] {
         let par = reproduce(&[artifact, "--quick"]);
         let seq = reproduce(&[artifact, "--quick", "--no-parallel"]);
         assert!(par.status.success() && seq.status.success(), "{artifact}");

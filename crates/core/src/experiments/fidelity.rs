@@ -63,18 +63,12 @@ impl FidelityExperiment {
         }
     }
 
-    /// Evaluate any simulator (parallel over time steps).
+    /// Evaluate any simulator (parallel over time steps). One
+    /// contact-window-pruned engine serves both the request sweep and the
+    /// connectivity census.
     pub fn run(&self, sim: &QuantumNetworkSim) -> ArchReport {
-        self.run_with_options(sim, true)
-    }
-
-    /// [`FidelityExperiment::run`] with explicit parallelism control
-    /// (`parallel: false` is the reproduce binary's `--no-parallel` path;
-    /// results are bit-identical either way). One contact-window-pruned
-    /// engine serves both the request sweep and the connectivity census.
-    pub fn run_with_options(&self, sim: &QuantumNetworkSim, parallel: bool) -> ArchReport {
         let steps = sample_steps(sim.steps(), self.sampled_steps);
-        let engine = SweepEngine::for_steps(sim, &steps).with_parallel(parallel);
+        let engine = SweepEngine::for_steps(sim, &steps);
         let stats = aggregate_retry_outcomes(&serve_sampled(
             &engine,
             &steps,
@@ -138,15 +132,15 @@ mod tests {
     #[test]
     fn space_ground_quick_run_is_partial() {
         let q = Qntn::standard();
-        let arch = SpaceGround::new(&q, 12, SimConfig::default(), PerturbationModel::TwoBody);
+        let arch = SpaceGround::new(&q, 108, SimConfig::default(), PerturbationModel::TwoBody);
         let r = FidelityExperiment::quick().run_space_ground(&arch);
-        // 12 satellites cannot serve everything across a day.
+        // The paper's 108 satellites serve some requests (40 of 80 in
+        // these four sampled steps), but not everything across a day.
+        assert!(r.stats.served() > 0);
         assert!(r.served_percent < 100.0);
         assert!(r.coverage_percent < 100.0);
-        // Any served request used above-threshold links.
-        if r.stats.served() > 0 {
-            assert!(r.mean_fidelity > 0.85);
-        }
+        // Every served request used above-threshold links.
+        assert!(r.mean_fidelity > 0.85);
     }
 
     #[test]

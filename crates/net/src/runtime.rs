@@ -460,35 +460,6 @@ where
     })
 }
 
-impl<'a> SweepEngine<'a> {
-    /// The full-day connectivity flags ([`SweepEngine::connectivity_flags`])
-    /// as a resilient run: checkpointed, cancellable, panic-isolated.
-    /// A clean complete report's outputs equal `connectivity_flags()`
-    /// bit for bit.
-    pub fn connectivity_flags_resilient(
-        &self,
-        policy: &RunPolicy,
-    ) -> Result<RunReport<bool>, QntnError> {
-        let sim = self.sim();
-        let steps: Vec<usize> = (0..sim.steps()).collect();
-        // Host count, step count, threshold bits and the fault mask's
-        // shape (0 when no mask is attached).
-        let fingerprint = frame::fingerprint(&[
-            0x666c_6167, // "flag"
-            sim.hosts().len() as u64,
-            sim.steps() as u64,
-            sim.evaluator().config().threshold.to_bits(),
-            self.faults().map_or(0, |f| {
-                frame::fingerprint(&[f.hosts() as u64, f.steps() as u64])
-            }),
-        ]);
-        run_steps(self, &steps, fingerprint, policy, |scratch, step| {
-            self.active_graph_into(step, scratch);
-            sim.lans_interconnected(&scratch.active)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,9 +493,18 @@ mod tests {
     fn clean_resilient_flags_match_the_plain_sweep() {
         let sim = hap_sim(40);
         let engine = SweepEngine::new(&sim);
-        let report = engine
-            .connectivity_flags_resilient(&RunPolicy::default())
-            .unwrap();
+        let steps: Vec<usize> = (0..sim.steps()).collect();
+        let report = run_steps(
+            &engine,
+            &steps,
+            7,
+            &RunPolicy::default(),
+            |scratch, step| {
+                engine.active_graph_into(step, scratch);
+                sim.lans_interconnected(&scratch.active)
+            },
+        )
+        .unwrap();
         assert!(report.is_clean());
         assert_eq!(report.resumed_from, 0);
         assert_eq!(

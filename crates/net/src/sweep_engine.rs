@@ -18,9 +18,10 @@
 //!    the FSO budget entirely. Inside a window the evaluator runs
 //!    unchanged — pruning is exact, not approximate.
 //! 2. **Step parallelism**: time steps are independent, so sweeps fan them
-//!    across rayon workers and reassemble results in step order. A
-//!    `--no-parallel` escape hatch ([`SweepEngine::with_parallel`]) runs
-//!    the same closures on one thread; both paths are bit-identical
+//!    across rayon workers and reassemble results in step order. The
+//!    width is the thread pool's: under a one-thread pool (`reproduce
+//!    --no-parallel`, or `RAYON_NUM_THREADS=1`) the same chunks run in
+//!    order on the caller's thread, and every width is bit-identical
 //!    because no result depends on worker assignment.
 //! 3. **Scratch reuse** ([`SweepScratch`]): each worker keeps one full-
 //!    graph buffer, one thresholded-graph buffer and one Bellman–Ford
@@ -87,7 +88,6 @@ pub struct SweepEngine<'a> {
     sim: &'a QuantumNetworkSim,
     /// Window-pruned classification of the simulator's candidate edges.
     scene: Scene,
-    parallel: bool,
     faults: Option<Arc<CompiledFaults>>,
 }
 
@@ -144,17 +144,8 @@ impl<'a> SweepEngine<'a> {
         Ok(SweepEngine {
             sim,
             scene,
-            parallel: true,
             faults: None,
         })
-    }
-
-    /// Toggle step-level parallelism (the `--no-parallel` escape hatch).
-    /// Results are bit-identical either way; the sequential path exists to
-    /// demonstrate that, and for single-core or debugging runs.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
     }
 
     /// Attach a compiled fault mask: every graph the engine builds then
@@ -281,40 +272,33 @@ impl<'a> SweepEngine<'a> {
         scratch.active
     }
 
-    /// Run `f` over `steps` — in parallel with per-worker scratch by
-    /// default, sequentially with one scratch under
-    /// [`SweepEngine::with_parallel`]`(false)` — returning results in step
-    /// order either way.
+    /// Run `f` over `steps` in parallel with per-worker scratch, returning
+    /// results in step order whatever the thread pool's width.
     pub fn map_steps<R, F>(&self, steps: &[usize], f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut SweepScratch, usize) -> R + Sync,
     {
-        if self.parallel {
-            // Contiguous chunks (instead of per-step work items) keep each
-            // worker's step cursor on consecutive steps, where the
-            // incremental topology path is O(window transitions). Chunking
-            // cannot affect results: `f` sees only its scratch and the
-            // step, and the scratch's every construction path is
-            // bit-identical regardless of how steps are grouped — the
-            // chunk size is purely a load-balance/latency knob.
-            let chunk = steps
-                .len()
-                .div_ceil(4 * rayon::current_num_threads().max(1))
-                .max(1);
-            let chunks: Vec<&[usize]> = steps.chunks(chunk).collect();
-            let per_chunk: Vec<Vec<R>> = chunks
-                .par_iter()
-                .map(|chunk| {
-                    let mut scratch = SweepScratch::default();
-                    chunk.iter().map(|&step| f(&mut scratch, step)).collect()
-                })
-                .collect();
-            per_chunk.into_iter().flatten().collect()
-        } else {
-            let mut scratch = SweepScratch::default();
-            steps.iter().map(|&step| f(&mut scratch, step)).collect()
-        }
+        // Contiguous chunks (instead of per-step work items) keep each
+        // worker's step cursor on consecutive steps, where the incremental
+        // topology path is O(window transitions). Chunking cannot affect
+        // results: `f` sees only its scratch and the step, and the
+        // scratch's every construction path is bit-identical regardless of
+        // how steps are grouped — the chunk size is purely a
+        // load-balance/latency knob.
+        let chunk = steps
+            .len()
+            .div_ceil(4 * rayon::current_num_threads().max(1))
+            .max(1);
+        let chunks: Vec<&[usize]> = steps.chunks(chunk).collect();
+        let per_chunk: Vec<Vec<R>> = chunks
+            .par_iter()
+            .map(|chunk| {
+                let mut scratch = SweepScratch::default();
+                chunk.iter().map(|&step| f(&mut scratch, step)).collect()
+            })
+            .collect();
+        per_chunk.into_iter().flatten().collect()
     }
 
     /// Per-step "all LANs interconnected" flags over the whole window.
@@ -448,13 +432,20 @@ mod tests {
     #[test]
     fn parallel_and_sequential_are_bit_identical() {
         let sim = sat_sim(6, 120);
-        let par = SweepEngine::new(&sim);
-        let seq = SweepEngine::new(&sim).with_parallel(false);
-        assert_eq!(par.connectivity_flags(), seq.connectivity_flags());
-        let cov_par = par.coverage();
-        let cov_seq = seq.coverage();
-        assert_eq!(cov_par.connected, cov_seq.connected);
-        assert_eq!(cov_par.intervals, cov_seq.intervals);
+        let engine = SweepEngine::new(&sim);
+        let flags = engine.connectivity_flags();
+        let cov = engine.coverage();
+        for width in [1, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            let (pool_flags, pool_cov) =
+                pool.install(|| (engine.connectivity_flags(), engine.coverage()));
+            assert_eq!(flags, pool_flags, "{width} threads");
+            assert_eq!(cov.connected, pool_cov.connected, "{width} threads");
+            assert_eq!(cov.intervals, pool_cov.intervals, "{width} threads");
+        }
     }
 
     #[test]

@@ -251,8 +251,8 @@ impl GroupServer<'_, '_> {
     }
 
     /// Every accepted request's outcome, in queue order. Parallel over
-    /// arrival groups (honoring the engine's parallelism toggle); results
-    /// are bit-identical either way.
+    /// arrival groups at the thread pool's width; results are
+    /// bit-identical at every width.
     pub(crate) fn full(&self) -> Vec<RetryOutcome> {
         let arrivals = self.queue.arrival_steps();
         self.engine
@@ -272,8 +272,8 @@ impl GroupServer<'_, '_> {
 
 /// Serve the whole queue, materializing one [`RetryOutcome`] per accepted
 /// request in queue order — the differential-comparable entry point.
-/// Parallel over arrival groups (honoring the engine's parallelism
-/// toggle); results are bit-identical either way.
+/// Parallel over arrival groups at the thread pool's width; results are
+/// bit-identical at every width.
 pub fn serve_full(
     engine: &SweepEngine<'_>,
     queue: &RequestQueue,
@@ -648,8 +648,8 @@ fn mean(sum: f64, n: u64) -> f64 {
 }
 
 /// Serve the whole queue into an SLO report, holding only one
-/// [`GroupAgg`] per arrival group. Parallel over groups (engine toggle);
-/// bit-identical to folding [`serve_full`]'s outcomes.
+/// [`GroupAgg`] per arrival group. Parallel over groups at the thread
+/// pool's width; bit-identical to folding [`serve_full`]'s outcomes.
 pub fn serve_report(
     engine: &SweepEngine<'_>,
     queue: &RequestQueue,

@@ -157,21 +157,35 @@ fn serve_full_matches_naive_under_faults() {
     }
 }
 
+/// A one-thread pool (every stage on the caller's thread) and one wider
+/// than the build machine.
+fn pools() -> [rayon::ThreadPool; 2] {
+    [1, 3].map(|n| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .unwrap()
+    })
+}
+
 #[test]
 fn parallel_and_sequential_serves_are_bit_identical() {
     let queue = queue_from(WorkloadKind::Diurnal, 140, 31);
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
-    let par = SweepEngine::new(sim());
-    let seq = SweepEngine::new(sim()).with_parallel(false);
-    assert_eq!(
-        serve_full(&par, &queue, policy, metric),
-        serve_full(&seq, &queue, policy, metric)
-    );
-    assert_eq!(
-        serve_report(&par, &queue, policy, metric, 0),
-        serve_report(&seq, &queue, policy, metric, 0)
-    );
+    let engine = SweepEngine::new(sim());
+    let full = serve_full(&engine, &queue, policy, metric);
+    let report = serve_report(&engine, &queue, policy, metric, 0);
+    for pool in pools() {
+        assert_eq!(
+            full,
+            pool.install(|| serve_full(&engine, &queue, policy, metric))
+        );
+        assert_eq!(
+            report,
+            pool.install(|| serve_report(&engine, &queue, policy, metric, 0))
+        );
+    }
 }
 
 #[test]
@@ -456,16 +470,19 @@ fn hold_serving_parallel_equals_sequential() {
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
     let hold = HoldPolicy::with_horizon(6);
-    let par = SweepEngine::new(sim());
-    let seq = SweepEngine::new(sim()).with_parallel(false);
-    assert_eq!(
-        serve_full_with_holds(&par, &queue, policy, metric, &hold),
-        serve_full_with_holds(&seq, &queue, policy, metric, &hold)
-    );
-    assert_eq!(
-        serve_report_with_holds(&par, &queue, policy, metric, &hold, 0),
-        serve_report_with_holds(&seq, &queue, policy, metric, &hold, 0)
-    );
+    let engine = SweepEngine::new(sim());
+    let full = serve_full_with_holds(&engine, &queue, policy, metric, &hold);
+    let report = serve_report_with_holds(&engine, &queue, policy, metric, &hold, 0);
+    for pool in pools() {
+        assert_eq!(
+            full,
+            pool.install(|| serve_full_with_holds(&engine, &queue, policy, metric, &hold))
+        );
+        assert_eq!(
+            report,
+            pool.install(|| serve_report_with_holds(&engine, &queue, policy, metric, &hold, 0))
+        );
+    }
 }
 
 #[test]
